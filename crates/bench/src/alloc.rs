@@ -91,8 +91,8 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Measured) {
     (value, m)
 }
 
-/// Allocator calls and bytes consumed by one run of `f` — the legacy
-/// two-counter shape used by the lazy-vs-eager curve comparisons.
+/// Allocator calls and bytes consumed by one run of `f` — the
+/// two-counter shape the curve benches report.
 pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, u64) {
     let (_, m) = measure(|| std::hint::black_box(f()));
     (m.calls, m.bytes)

@@ -2,9 +2,10 @@
 //!
 //! Times the old per-`k` sliding-window rescan against the prefix-sum scan
 //! (sequential and threaded) on the headline `N = 50 000`, `K = 2 000`
-//! exact-mode workload, plus the threaded min-plus envelopes, the
-//! chunked-summary fold behind the trace-parallel path, and a one-GOP
-//! incremental append against a full rebuild. Writes the interleaved
+//! exact-mode workload, plus the chunked-summary fold behind the
+//! trace-parallel path, a one-GOP incremental append against a full
+//! rebuild, the allocations of a lazily composed tandem service chain,
+//! and wire-format throughput. Writes the interleaved
 //! best-of-`REPS` times, a thread-scaling array (1/2/4/8 workers capped
 //! at the host's cores, plus a `speedup_at_4` headline field — `null`
 //! on hosts with fewer than 4 cores), and the speedups to
@@ -29,8 +30,8 @@ const REPS: usize = 31;
 /// replay extends its trace.
 const GOP_EVENTS: usize = 3_000;
 
-// Shared counting allocator (`wcm_bench::alloc`), so the lazy vs eager
-// comparison can report allocation counts and bytes, not just
+// Shared counting allocator (`wcm_bench::alloc`), so the lazy tandem
+// composition can report allocation counts and bytes, not just
 // wall-clock. Counting is always on; the counters are read as
 // before/after snapshots around single-threaded regions.
 #[global_allocator]
@@ -296,31 +297,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let append_s = appends.best(1) / GOPS as f64;
     let append_ratio = appends.speedup(1, 0) / GOPS as f64;
 
-    let f = staircase(96, 21);
-    let g = staircase(96, 22);
-    let conv = measure([
-        &mut || time_once(|| minplus::convolve_with(&f, &g, minplus::Parallelism::Seq)),
-        &mut || time_once(|| minplus::convolve_with(&f, &g, minplus::Parallelism::Threads(threads))),
-    ]);
-    let (conv_seq, conv_par) = (conv.best(0), conv.best(1));
-
     // Lazy streaming curve algebra: a 32-stage tandem service
-    // composition (left fold of min-plus convolutions). The eager fold
-    // materializes a fresh Pwl per stage plus every intermediate inside
-    // each convolution; the lazy fold streams each convolution's
-    // segments straight into a ping-pong buffer. Results are pinned
-    // bitwise identical before anything is timed.
+    // composition (left fold of min-plus convolutions), each
+    // convolution's segments streamed straight into a ping-pong buffer.
+    // Allocation counts are deterministic: same inputs, same
+    // single-threaded code path.
     const STAGES: usize = 32;
     let stage_curves: Vec<Pwl> = (0..STAGES)
         .map(|i| staircase(16, 100 + i as u64))
         .collect();
-    let eager_tandem = || {
-        let mut acc = stage_curves[0].clone();
-        for c in &stage_curves[1..] {
-            acc = minplus::convolve(&acc, c);
-        }
-        acc
-    };
     let lazy_tandem = || {
         let mut acc = stage_curves[0].clone();
         let mut buf: Vec<Segment> = Vec::new();
@@ -331,27 +316,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         acc
     };
-    {
-        let (e, l) = (eager_tandem(), lazy_tandem());
-        assert_eq!(e.segments().len(), l.segments().len(), "lazy tandem diverged");
-        for (a, b) in e.segments().iter().zip(l.segments()) {
-            assert!(
-                a.x.to_bits() == b.x.to_bits()
-                    && a.y.to_bits() == b.y.to_bits()
-                    && a.slope.to_bits() == b.slope.to_bits(),
-                "lazy tandem is not bitwise identical to eager"
-            );
-        }
-    }
-    let (tandem_eager_allocs, tandem_eager_bytes) = count_allocs(eager_tandem);
     let (tandem_lazy_allocs, tandem_lazy_bytes) = count_allocs(lazy_tandem);
-    let tandem = measure([
-        &mut || time_once(eager_tandem),
-        &mut || time_once(lazy_tandem),
-    ]);
-    let (tandem_eager_s, tandem_lazy_s) = (tandem.best(0), tandem.best(1));
-    let tandem_alloc_ratio = tandem_eager_allocs as f64 / tandem_lazy_allocs as f64;
-    let tandem_bytes_ratio = tandem_eager_bytes as f64 / tandem_lazy_bytes as f64;
+    let tandem_lazy_s = measure([&mut || time_once(lazy_tandem)]).best(0);
 
     // Binary wire format: encode and decode throughput on the same
     // N-event demand+timestamp trace, plus the cost of the lenient
@@ -436,18 +402,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"append_over_rebuild\": {append_ratio:.4}\n\
          \x20 }},\n\
          \x20 \"min_spans\": {{ \"seq_s\": {spans_seq:.6}, \"par_s\": {spans_par:.6}, \"speedup\": {:.1} }},\n\
-         \x20 \"minplus_convolve_96seg\": {{ \"seq_s\": {conv_seq:.6}, \"par_s\": {conv_par:.6}, \"speedup\": {:.1} }},\n\
          \x20 \"lazy_tandem_32\": {{\n\
          \x20   \"stages\": {STAGES},\n\
-         \x20   \"eager_s\": {tandem_eager_s:.6},\n\
          \x20   \"lazy_s\": {tandem_lazy_s:.6},\n\
-         \x20   \"speedup_lazy_vs_eager\": {:.2},\n\
-         \x20   \"eager_allocs\": {tandem_eager_allocs},\n\
          \x20   \"lazy_allocs\": {tandem_lazy_allocs},\n\
-         \x20   \"alloc_ratio\": {tandem_alloc_ratio:.1},\n\
-         \x20   \"eager_bytes\": {tandem_eager_bytes},\n\
-         \x20   \"lazy_bytes\": {tandem_lazy_bytes},\n\
-         \x20   \"bytes_ratio\": {tandem_bytes_ratio:.1}\n\
+         \x20   \"lazy_bytes\": {tandem_lazy_bytes}\n\
          \x20 }},\n\
          \x20 \"wire\": {{\n\
          \x20   \"stream_mb\": {wire_mb:.3},\n\
@@ -465,8 +424,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         core.speedup(1, 2),
         summaries.speedup(1, 0),
         core.speedup(3, 4),
-        conv.speedup(0, 1),
-        tandem.speedup(0, 1),
     );
     std::fs::write(&out_path, &json)?;
     print!("{json}");

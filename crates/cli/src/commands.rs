@@ -44,7 +44,7 @@ subcommands:
            [--seeds clean,S1,S2] [--inject SPEC[;SPEC...]]
            [--k K --exact-upto N --stride S] [--cert-depth D]
            [--prune on|off] [--frontier bisect|dense] [--threads T]
-           [--json FILE] [--csv FILE] [--stream on|off]
+           [--json FILE] [--csv FILE]
            [--shard I/N --out-wcmt FILE]
            [--merge a.wcmt,b.wcmt,...]
            [--trace-out FILE] [--metrics-out FILE]
@@ -57,10 +57,9 @@ subcommands:
            (O(log grid) cell evaluations per capacity), `dense'
            evaluates every cell; both print the identical frontier
            plus how many cells deciding it took (no --json/--csv)
-           --stream on evaluates through the constant-memory result
-           pipeline: --json/--csv artifacts are written row by row as
-           points are decided (byte-identical to the default path) and
-           peak memory stays flat however large the grid is
+           --json/--csv artifacts are written row by row as points
+           are decided, so peak memory stays flat however large the
+           grid is; a failed sweep leaves neither file behind
            --shard I/N evaluates only the i-th of N balanced grid
            slices and writes it as a binary partial-sweep stream to
            --out-wcmt (run one process per shard); --merge folds the
@@ -478,7 +477,7 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
     // Merge mode folds already-evaluated shard files; it takes no grid
     // arguments at all, so dispatch before anything is synthesized.
     if let Some(list) = opts.optional("merge") {
-        for key in ["shard", "out-wcmt", "frontier", "stream", "pe2-mhz", "capacities"] {
+        for key in ["shard", "out-wcmt", "frontier", "pe2-mhz", "capacities"] {
             if opts.optional(key).is_some() {
                 return Err(CliError::Usage(format!(
                     "--merge cannot be combined with --{key}"
@@ -569,15 +568,6 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
             )))
         }
     };
-    let stream = match opts.optional("stream").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--stream: `{other}` is not on|off"
-            )))
-        }
-    };
     let shard = match opts.optional("shard") {
         None => None,
         Some(s) => Some(parse_shard(s)?),
@@ -588,18 +578,13 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
         ));
     }
     if opts.optional("out-wcmt").is_some() {
-        for key in ["frontier", "json", "csv", "stream"] {
+        for key in ["frontier", "json", "csv"] {
             if opts.optional(key).is_some() {
                 return Err(CliError::Usage(format!(
                     "--out-wcmt cannot be combined with --{key} (merge the shards first)"
                 )));
             }
         }
-    }
-    if frontier.is_some() && stream {
-        return Err(CliError::Usage(
-            "--frontier cannot be combined with --stream".to_string(),
-        ));
     }
 
     let spec = wcm_sim::SweepSpec {
@@ -693,59 +678,57 @@ pub fn sweep(opts: &Options) -> Result<(), CliError> {
         return Ok(());
     }
 
+    // Constant-memory pipeline: artifact rows hit disk as points are
+    // decided. The CSV is written to a `<path>.part` side file renamed
+    // into place on success; the JSON document is composed head + rows +
+    // tail once the summary exists, so its bytes match `to_json` exactly.
+    // Both side files are removed on every error exit.
     let par = opts.parallelism()?;
-    let (stats, pareto);
-    if stream {
-        // Constant-memory pipeline: artifact rows hit disk as points are
-        // decided; the JSON document is composed head + rows + tail once
-        // the summary exists, so its bytes match `to_json` exactly.
-        let mut csv_sink = match opts.optional("csv") {
-            Some(p) => {
-                let file = std::fs::File::create(p).map_err(|source| CliError::Io {
-                    path: p.into(),
-                    source,
-                })?;
-                Some(wcm_sim::CsvSink::new(std::io::BufWriter::new(file)))
-            }
-            None => None,
+    let csv = opts.optional("csv").map(|p| {
+        let part = TempFileGuard {
+            path: format!("{p}.part").into(),
         };
-        let mut json_sink = match opts.optional("json") {
-            Some(p) => Some(JsonRowsSink::create(Path::new(p))?),
-            None => None,
-        };
-        let mut sinks: Vec<&mut dyn wcm_sim::SweepSink> = Vec::new();
-        if let Some(s) = csv_sink.as_mut() {
-            sinks.push(s);
-        }
-        if let Some(s) = json_sink.as_mut() {
-            sinks.push(s);
-        }
-        let mut fan = FanoutSink { sinks };
-        let summary =
-            wcm_sim::run_sweep_streaming(&clips, &spec, par, wcm_sim::ShardRange::FULL, &mut fan)
-                .map_err(map_err)?;
-        if let Some(s) = csv_sink {
-            s.into_inner().into_inner().map_err(|e| CliError::Io {
-                path: opts.optional("csv").unwrap_or_default().into(),
-                source: e.into_error(),
+        (Path::new(p), part)
+    });
+    let mut csv_sink = match &csv {
+        Some((_, part)) => {
+            let file = std::fs::File::create(part.path()).map_err(|source| CliError::Io {
+                path: part.path().into(),
+                source,
             })?;
+            Some(wcm_sim::CsvSink::new(std::io::BufWriter::new(file)))
         }
-        if let Some(s) = json_sink {
-            s.compose(&summary)?;
-        }
-        stats = summary.stats;
-        pareto = summary.pareto;
-    } else {
-        let report = wcm_sim::run_sweep(&clips, &spec, par).map_err(map_err)?;
-        if let Some(path) = opts.optional("json") {
-            write_report(Path::new(path), &report.to_json())?;
-        }
-        if let Some(path) = opts.optional("csv") {
-            write_report(Path::new(path), &report.to_csv())?;
-        }
-        stats = report.stats;
-        pareto = report.pareto;
+        None => None,
+    };
+    let mut json_sink = match opts.optional("json") {
+        Some(p) => Some(JsonRowsSink::create(Path::new(p))?),
+        None => None,
+    };
+    let mut sinks: Vec<&mut dyn wcm_sim::SweepSink> = Vec::new();
+    if let Some(s) = csv_sink.as_mut() {
+        sinks.push(s);
     }
+    if let Some(s) = json_sink.as_mut() {
+        sinks.push(s);
+    }
+    let mut fan = FanoutSink { sinks };
+    let summary =
+        wcm_sim::run_sweep_streaming(&clips, &spec, par, wcm_sim::ShardRange::FULL, &mut fan)
+            .map_err(map_err)?;
+    if let (Some(s), Some((path, part))) = (csv_sink, &csv) {
+        s.into_inner().into_inner().map_err(|e| CliError::Io {
+            path: part.path().into(),
+            source: e.into_error(),
+        })?;
+        std::fs::rename(part.path(), path).map_err(|source| CliError::Io {
+            path: path.into(),
+            source,
+        })?;
+    }
+    if let Some(s) = json_sink {
+        s.compose(&summary)?;
+    }
+    let (stats, pareto) = (summary.stats, summary.pareto);
     if observe {
         wcm_obs::set_enabled(false);
         let snap = wcm_obs::mem().snapshot();
@@ -865,7 +848,8 @@ impl wcm_sim::SweepSink for FanoutSink<'_> {
 /// Removes its file on drop — scoped cleanup for side files that must
 /// not outlive the run. Whatever path exits `sweep` (success, usage
 /// error, bad input, a sink I/O failure mid-stream), the temporary is
-/// gone by the time the process reports its exit code.
+/// gone by the time the process reports its exit code (a side file
+/// renamed into place on success is already gone).
 struct TempFileGuard {
     path: std::path::PathBuf,
 }

@@ -171,8 +171,7 @@ pub fn greedy_processing(
     //   α′ᵘ = [(αᵘ ⊗ βᵘ) ⊘ βˡ] ∧ βᵘ,
     //   α′ˡ = [(αˡ ⊘ βᵘ) ⊗ βˡ] ∧ βˡ.
     // Each equation runs as one lazy segment stream, materializing only
-    // where the next operator needs a breakpoint view of its operand; the
-    // results are bit-identical to the eager operators.
+    // where the next operator needs a breakpoint view of its operand.
     let conv = minplus::convolve_lazy(&demand_upper, &service.upper).collect_pwl();
     let out_upper_cycles = minplus::deconvolve_lazy(&conv, &service.lower)?
         .lazy_min(service.upper.lazy())
@@ -321,8 +320,8 @@ fn deconvolve_or_zero(f: &Pwl, g: &Pwl) -> Pwl {
 /// classic "pay bursts only once" composition). The left fold runs through
 /// the lazy streaming convolution and ping-pongs two segment buffers, so
 /// an `N`-stage pipeline keeps one accumulator curve and one scratch
-/// buffer live instead of materializing eager intermediates at every
-/// stage. Bit-identical to folding [`minplus::convolve`].
+/// buffer live instead of allocating a fresh curve at every stage.
+/// Bit-identical to folding [`minplus::convolve`].
 ///
 /// # Errors
 ///
@@ -513,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn tandem_service_matches_eager_fold() {
+    fn tandem_service_matches_convolve_fold() {
         let betas: Vec<Pwl> = (1..=8)
             .map(|i| {
                 Pwl::from_breakpoints(vec![
@@ -524,11 +523,11 @@ mod tests {
             })
             .collect();
         let lazy = tandem_service(&betas).unwrap();
-        let mut eager = betas[0].clone();
+        let mut folded = betas[0].clone();
         for b in &betas[1..] {
-            eager = minplus::convolve(&eager, b);
+            folded = minplus::convolve(&folded, b);
         }
-        assert_eq!(lazy, eager);
+        assert_eq!(lazy, folded);
         // Rate-latency servers compose to sum-of-latencies, min-of-rates.
         assert!((lazy.ultimate_rate() - 11.0).abs() < 1e-9);
         assert!(tandem_service(&[]).is_err());

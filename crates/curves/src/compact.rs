@@ -398,7 +398,7 @@ mod tests {
     fn compact_composes_with_lazy_operators() {
         let f = staircase(10, 1.0, 0.5);
         let g = Pwl::affine(2.0, 1.5).unwrap();
-        // compact(min(f, g)) via one lazy chain, against the eager route.
+        // compact(min(f, g)) via one lazy chain, against the collected min.
         let lazy = f
             .lazy()
             .lazy_min(g.lazy())

@@ -1,23 +1,31 @@
 //! Lazy, composable curve algebra: operators as segment-streaming iterators.
 //!
-//! The eager operators in [`crate::pwl`] / [`crate::minplus`] materialize a
-//! full [`Pwl`] per operation, so an N-stage composition pays O(K) memory and
-//! allocation at every node. This module provides the same operators as
-//! *iterator adapters* that stream [`Segment`]s in x-order: a chain such as
+//! This module is the one implementation of the pointwise operators
+//! (min, max, sum, scaling, shifting) and of the branch envelopes inside
+//! min-plus/max-plus convolution and deconvolution. Each operator is an
+//! *iterator adapter* that streams [`Segment`]s in x-order: a chain such as
 //! `f.lazy().lazy_min(g.lazy()).lazy_add(h.lazy()).collect_pwl()` keeps only
 //! O(active segments) of state per stage and allocates once, at the terminal
-//! [`CurveIter::collect_pwl`].
+//! [`CurveIter::collect_pwl`]. The materializing methods ([`Pwl::min`],
+//! [`crate::minplus::convolve`], …) are these streams collected.
 //!
-//! # Bitwise contract
+//! # What the adapters compute
 //!
-//! Every adapter replicates the eager algorithm's floating-point operations
-//! *exactly* — the same merged-breakpoint dedup chains, the same crossing
-//! formulas, the same `value`/`value_left` lookup tolerances, and the same
-//! dedup/validate/normalize pipeline that [`Pwl`]'s internal constructor
-//! runs. Consequently a lazy chain's `collect_pwl()` is bit-identical
-//! (`f64::to_bits`) to the eagerly materialized result; the proptests in
-//! `tests/proptest_lazy.rs` pin this for random curve pairs and deep random
-//! chains.
+//! A pointwise merge walks the merged breakpoints of both operands
+//! (approx-equal chains collapse onto their first value), adds the point
+//! where `f − g` changes sign inside each breakpoint window and on the
+//! affine tails (min/max only), and emits one segment per candidate point:
+//! the merged right-continuous value there, with the slope that reaches
+//! the merged *left* limit at the next candidate, so upward jumps stay at
+//! the junction. Every adapter output then runs through a normalization
+//! stage that applies the [`Pwl`] invariants — coinciding starts merged
+//! (the later value wins, the earlier x is kept), strictly increasing x, no
+//! downward jump, collinear junctions merged — so a stream is exactly the
+//! segment list [`Pwl`]'s validating constructor would store for the same
+//! raw segments. Consequently collecting a chain stage by stage and
+//! collecting it fused give the same bits (`f64::to_bits`);
+//! `tests/proptest_lazy.rs` pins this for deep random chains, and
+//! `tests/golden_ops.rs` pins every operator's output on seeded inputs.
 //!
 //! Inputs must be *normalized* segment streams — exactly what
 //! [`Pwl::lazy`] and every adapter in this module emit. Feeding an arbitrary
@@ -36,22 +44,22 @@ use crate::CurveError;
 /// compose like ordinary iterator chains. See the [module docs](self) for
 /// the normalization requirement on inputs.
 pub trait CurveIter: Iterator<Item = Segment> + Sized {
-    /// Lazy pointwise minimum (lower envelope); mirrors [`Pwl::min`].
+    /// Lazy pointwise minimum (lower envelope); [`Pwl::min`] collects it.
     fn lazy_min<G: CurveIter>(self, g: G) -> Merge<Self, G> {
         Merge::new(self, g, MergeOp::Lower)
     }
 
-    /// Lazy pointwise maximum (upper envelope); mirrors [`Pwl::max`].
+    /// Lazy pointwise maximum (upper envelope); [`Pwl::max`] collects it.
     fn lazy_max<G: CurveIter>(self, g: G) -> Merge<Self, G> {
         Merge::new(self, g, MergeOp::Upper)
     }
 
-    /// Lazy pointwise sum; mirrors [`Pwl::add`].
+    /// Lazy pointwise sum; [`Pwl::add`] collects it.
     fn lazy_add<G: CurveIter>(self, g: G) -> Merge<Self, G> {
         Merge::new(self, g, MergeOp::Sum)
     }
 
-    /// Lazy vertical scaling `c·f`; mirrors [`Pwl::scale`].
+    /// Lazy vertical scaling `c·f`; [`Pwl::scale`] collects it.
     ///
     /// # Errors
     ///
@@ -60,7 +68,8 @@ pub trait CurveIter: Iterator<Item = Segment> + Sized {
         Scaled::new(self, c)
     }
 
-    /// Lazy shift right by `dx` and up by `dy`; mirrors [`Pwl::shift`].
+    /// Lazy shift right by `dx` and up by `dy`, holding the head flat at
+    /// the shifted initial value; [`Pwl::shift`] collects it.
     ///
     /// # Errors
     ///
@@ -72,8 +81,7 @@ pub trait CurveIter: Iterator<Item = Segment> + Sized {
 
     /// Dominance-based segment compaction with an explicit deviation
     /// bound; see [`crate::compact`]. With `epsilon == 0.0` this is
-    /// exactly the identity on normalized streams (the bitwise contract
-    /// is preserved).
+    /// exactly the identity on normalized streams.
     ///
     /// # Errors
     ///
@@ -221,9 +229,9 @@ impl SegBuf {
     }
 }
 
-/// A streaming mirror of [`Pwl::value`] / [`Pwl::value_left`]: answers the
-/// same lookups the eager operators make against a materialized curve, but
-/// against a segment stream, buffering only the active window.
+/// [`Pwl::value`] / [`Pwl::value_left`] over a segment stream: the same
+/// lookups, with the same tolerances, as against a materialized curve, but
+/// buffering only the active window.
 ///
 /// Queries must be non-decreasing in the query point up to the lookback the
 /// caller's [`Eval::release`] discipline retains — exactly the access
@@ -279,7 +287,7 @@ impl<I: Iterator<Item = Segment>> Eval<I> {
         self.bp_pos += 1;
     }
 
-    /// Mirror of `Pwl::value` (same tolerance, same clamping).
+    /// [`Pwl::value`] on the stream (same tolerance, same clamping).
     fn value(&mut self, t: f64) -> f64 {
         self.ensure_abs(0);
         debug_assert!(!self.buf.is_empty(), "curve streams are non-empty");
@@ -305,7 +313,7 @@ impl<I: Iterator<Item = Segment>> Eval<I> {
         seg.value_at(t.max(seg.x))
     }
 
-    /// Mirror of `Pwl::value_left` (same breakpoint tie handling).
+    /// [`Pwl::value_left`] on the stream (same breakpoint tie handling).
     fn value_left(&mut self, t: f64) -> f64 {
         if t <= 0.0 {
             return self.value(0.0);
@@ -331,7 +339,7 @@ impl<I: Iterator<Item = Segment>> Eval<I> {
             debug_assert!(idx > self.buf.first_abs, "lookback segment was evicted");
             self.buf.get(idx - 1)
         } else {
-            // idx == 0 with x ≈ t also resolves to segs[0] in the eager code.
+            // idx == 0 with x ≈ t resolves to segs[0], as in `Pwl::value_left`.
             self.buf.get(idx)
         };
         seg.value_at(t)
@@ -360,14 +368,13 @@ impl<I: Iterator<Item = Segment>> Eval<I> {
 }
 
 // ---------------------------------------------------------------------------
-// Normalization stage (streaming mirror of `Pwl::from_segments`)
+// Normalization stage (the `Pwl::from_segments` pipeline, streamed)
 // ---------------------------------------------------------------------------
 
-/// Streaming mirror of the `Pwl::from_segments` pipeline: coinciding-start
-/// dedup, invariant validation, and collinear-junction normalization, all
-/// with O(1) state. Every public adapter runs its raw output through this,
-/// so adapter output streams are exactly the segment lists the eager
-/// operator would store.
+/// The `Pwl::from_segments` pipeline with O(1) state: coinciding-start
+/// dedup, invariant validation, and collinear-junction normalization.
+/// Every public adapter runs its raw output through this, so adapter
+/// output streams are exactly the segment lists a [`Pwl`] stores.
 struct Norm<I> {
     src: I,
     /// Dedup stage: last segment not yet confirmed distinct-x.
@@ -479,9 +486,9 @@ pub(crate) enum MergeOp {
     Sum,
 }
 
-/// Streaming two-way merge core: produces the *raw* evaluated segments of
-/// the eager `envelope` / `Pwl::add` sweeps (before `from_segments`), one
-/// breakpoint window at a time.
+/// Streaming two-way merge core: produces the *raw* evaluated segments of a
+/// pointwise min/max/sum (before normalization), one breakpoint window at
+/// a time.
 struct MergeCore<F, G> {
     f: Eval<F>,
     g: Eval<G>,
@@ -534,15 +541,14 @@ where
         match self.op {
             MergeOp::Lower => fr.min(gr),
             MergeOp::Upper => fr.max(gr),
-            // The eager `add` applies `.max(0.0)` to every slope including
-            // the tail; replicate for bit-identity.
+            // Every sum slope is clamped at zero, the tail's included.
             MergeOp::Sum => (fr + gr).max(0.0),
         }
     }
 
-    /// Next merged breakpoint after the first dedup (mirror of
-    /// `merged_breakpoints`): smaller head first (`total_cmp`, ties take
-    /// `f`'s), approx-equal chains collapse onto the first retained value.
+    /// Next merged breakpoint after the first dedup: smaller head first
+    /// (`total_cmp`, ties take `f`'s), approx-equal chains collapse onto the
+    /// first retained value.
     fn merge_next_bp(&mut self) -> Option<f64> {
         loop {
             let x = match (self.f.peek_bp(), self.g.peek_bp()) {
@@ -565,9 +571,8 @@ where
                     }
                 }
             };
-            // First dedup (mirror of `merged_breakpoints`): chained against
-            // the last *retained* breakpoint, which the driver stores as
-            // `window_a`.
+            // First dedup: chained against the last *retained* breakpoint,
+            // which the driver stores as `window_a`.
             if self.window_a.is_some_and(|p| approx_eq(x, p)) {
                 continue;
             }
@@ -586,7 +591,7 @@ where
             while self.q_pos < self.q_len {
                 let c = self.queue[self.q_pos as usize];
                 self.q_pos += 1;
-                // Second dedup (mirror of the post-crossing `dedup_by`).
+                // Second dedup, over breakpoints and crossings together.
                 if self.last_cand.is_some_and(|p| approx_eq(c, p)) {
                     continue;
                 }
@@ -653,7 +658,8 @@ where
         self.pick(fv, gv)
     }
 
-    /// Mirror of `push_crossing`: sign change of `f − g` on `(a, b)`.
+    /// Crossing candidate: the sign change of `f − g` on `(a, b)`, both
+    /// linear there.
     fn push_window_crossing(&mut self, a: f64, b: f64) {
         let da = self.f.value(a) - self.g.value(a);
         let db = self.f.value_left(b) - self.g.value_left(b);
@@ -665,7 +671,7 @@ where
         }
     }
 
-    /// Mirror of the eager envelope's affine-tail crossing.
+    /// Crossing candidate of the affine tails beyond the last breakpoint.
     fn push_tail_crossing(&mut self) {
         let last = self.window_a.expect("curve streams are non-empty");
         let fv = self.f.value(last);
@@ -693,8 +699,7 @@ where
 }
 
 /// Lazy pointwise merge adapter returned by [`CurveIter::lazy_min`],
-/// [`CurveIter::lazy_max`] and [`CurveIter::lazy_add`]. Streams the exact
-/// segments of the corresponding eager operator.
+/// [`CurveIter::lazy_max`] and [`CurveIter::lazy_add`].
 pub struct Merge<F, G> {
     inner: Norm<MergeCore<F, G>>,
 }
@@ -843,7 +848,9 @@ impl<I: Iterator<Item = Segment>> Iterator for Shifted<I> {
 // Dynamic composition node (branch envelopes of ⊗ / ⊘)
 // ---------------------------------------------------------------------------
 
-/// Raw stream mirroring `minplus::shift_left_minus`: `t ↦ f(t + b) − c`.
+/// Raw stream of the deconvolution branch `t ↦ f(t + b) − c`: `f` shifted
+/// left by `b` (the piece containing `b` re-anchored at the origin) and
+/// lowered by `c`; values may be negative, the envelope is clamped later.
 struct ShiftLeftRaw<'a> {
     segs: &'a [Segment],
     b: f64,
@@ -873,7 +880,10 @@ impl Iterator for ShiftLeftRaw<'_> {
     }
 }
 
-/// Raw stream mirroring `minplus::reflected_branch`: `t ↦ fa − g(a − t)`.
+/// Raw stream of the deconvolution branch `t ↦ fa − g(a − t)` for
+/// `t ≤ a`, constant `fa − g(0)` beyond. Kinks sit at `t = a − b` for the
+/// breakpoints `b` of `g`; left limits of `g` are used, so jumps of `g`
+/// help the supremum.
 struct ReflectedRaw<'a> {
     fa: f64,
     g: &'a Pwl,
@@ -887,9 +897,9 @@ struct ReflectedRaw<'a> {
 }
 
 impl ReflectedRaw<'_> {
-    /// Next kink `t` of the branch, ascending, after the keep-first dedup —
-    /// mirror of the eager `ts` construction (`0.0` first, then `a − b` for
-    /// g's breakpoints `b` in descending order).
+    /// Next kink `t` of the branch, ascending, after the keep-first dedup:
+    /// `0.0` first, then `a − b` for g's breakpoints `b` in descending
+    /// order.
     fn next_t(&mut self) -> Option<f64> {
         loop {
             let t = if !self.emitted_zero {
@@ -899,7 +909,7 @@ impl ReflectedRaw<'_> {
                 self.rev -= 1;
                 let t = self.a - self.g.segments()[self.rev].x;
                 if t <= EPSILON {
-                    continue; // mirror of the `t > EPSILON` filter
+                    continue; // kinks at or before the origin fold into 0
                 }
                 t
             } else {
@@ -947,8 +957,8 @@ impl Iterator for ReflectedRaw<'_> {
     }
 }
 
-/// Raw stream mirroring `maxplus::shift_zero_head`: zero head, then the
-/// curve shifted right by `dx` and up by `dy`.
+/// Raw stream of a max-plus convolution branch: zero head, then the curve
+/// shifted right by `dx` and up by `dy`.
 struct ZeroHeadRaw<'a> {
     segs: &'a [Segment],
     dx: f64,
@@ -971,20 +981,21 @@ impl Iterator for ZeroHeadRaw<'_> {
     }
 }
 
-/// One node of a dynamically shaped lazy composition — the streaming
-/// counterpart of the eager branch envelopes inside `minplus::convolve`,
-/// `minplus::deconvolve` and `maxplus::convolve`, whose fold shapes are
-/// only known at runtime.
+/// One node of a dynamically shaped lazy composition — the branch
+/// envelopes inside `minplus::convolve`, `minplus::deconvolve` and
+/// `maxplus::convolve`, whose fold shapes are only known at runtime.
 enum LazyNode<'a> {
     /// A materialized curve's segment stream.
     Source(SegmentSource<'a>),
-    /// Mirror of `Pwl::shift` applied to a materialized curve.
+    /// A collected prefix of a long fold (see [`LazyCurve::fold_merge`]).
+    Owned(std::vec::IntoIter<Segment>),
+    /// A materialized curve shifted right and up ([`CurveIter::shift_by`]).
     Shift(Shifted<SegmentSource<'a>>),
-    /// Mirror of `minplus::shift_left_minus`.
+    /// See [`ShiftLeftRaw`].
     ShiftLeft(Norm<ShiftLeftRaw<'a>>),
-    /// Mirror of `minplus::reflected_branch`.
+    /// See [`ReflectedRaw`].
     Reflected(Norm<ReflectedRaw<'a>>),
-    /// Mirror of `maxplus::shift_zero_head`.
+    /// See [`ZeroHeadRaw`].
     ZeroHead(Norm<ZeroHeadRaw<'a>>),
     /// The zero curve (deconvolution's final clamp operand).
     Zero(bool),
@@ -998,6 +1009,7 @@ impl Iterator for LazyNode<'_> {
     fn next(&mut self) -> Option<Segment> {
         match self {
             LazyNode::Source(s) => s.next(),
+            LazyNode::Owned(s) => s.next(),
             LazyNode::Shift(s) => s.next(),
             LazyNode::ShiftLeft(s) => s.next(),
             LazyNode::Reflected(s) => s.next(),
@@ -1084,8 +1096,9 @@ impl<'a> LazyCurve<'a> {
         LazyCurve(LazyNode::Merge(Box::new(Merge::new(f.0, g.0, op))))
     }
 
-    /// Pairwise fold with the exact shape of `wcm_par::tree_reduce`, so the
-    /// streamed envelope is bit-identical to the eager branch fold.
+    /// Pairwise fold: adjacent items merge level by level (an odd item out
+    /// moves up unchanged), so each item takes part in O(log n) merges and
+    /// the nesting depth of the result is ⌈log₂ n⌉.
     pub(crate) fn tree_merge(mut items: Vec<Self>, op: MergeOp) -> Option<Self> {
         while items.len() > 1 {
             let mut next = Vec::with_capacity(items.len().div_ceil(2));
@@ -1100,11 +1113,38 @@ impl<'a> LazyCurve<'a> {
         }
         items.pop()
     }
+
+    /// Left-deep fold `((i₀ ∘ i₁) ∘ i₂) ∘ …`. Each stage nests one more merge
+    /// iterator, and consuming the stream recurses through all of them, so
+    /// every [`FOLD_DEPTH`] stages the accumulator is collected into an
+    /// owned buffer and the fold restarts from it. A collected prefix is the
+    /// same segment list its stream yields, so the result does not depend on
+    /// where the cuts fall.
+    pub(crate) fn fold_merge(items: impl IntoIterator<Item = Self>, op: MergeOp) -> Option<Self> {
+        let mut acc: Option<Self> = None;
+        for (stage, item) in items.into_iter().enumerate() {
+            acc = Some(match acc {
+                None => item,
+                Some(a) if stage % FOLD_DEPTH == 0 => Self::merge(
+                    LazyCurve(LazyNode::Owned(a.collect::<Vec<_>>().into_iter())),
+                    item,
+                    op,
+                ),
+                Some(a) => Self::merge(a, item, op),
+            });
+        }
+        acc
+    }
 }
+
+/// Stages of a [`LazyCurve::fold_merge`] between two collections of its
+/// accumulator — the bound on its merge nesting.
+const FOLD_DEPTH: usize = 64;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::num::approx_eq;
 
     fn rate_latency(rate: f64, latency: f64) -> Pwl {
         Pwl::from_breakpoints(vec![(0.0, 0.0, 0.0), (latency, 0.0, rate)]).unwrap()
@@ -1119,17 +1159,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lazy_min_matches_eager_bitwise() {
-        let f = Pwl::affine(0.0, 2.0).unwrap();
-        let g = Pwl::affine(3.0, 1.0).unwrap();
-        assert_bitwise(&f.lazy().lazy_min(g.lazy()).collect_pwl(), &f.min(&g));
-        assert_bitwise(&f.lazy().lazy_max(g.lazy()).collect_pwl(), &f.max(&g));
-        assert_bitwise(&f.lazy().lazy_add(g.lazy()).collect_pwl(), &f.add(&g));
+    /// `merged` agrees with `pick` of the operands at sample points, both
+    /// right values and left limits.
+    fn assert_pointwise(merged: &Pwl, f: &Pwl, g: &Pwl, pick: fn(f64, f64) -> f64) {
+        for i in 0..200 {
+            let t = i as f64 * 0.05;
+            let (v, want) = (merged.value(t), pick(f.value(t), g.value(t)));
+            assert!(approx_eq(v, want), "t={t}: {v} vs {want}");
+            let (v, want) = (merged.value_left(t), pick(f.value_left(t), g.value_left(t)));
+            assert!(approx_eq(v, want), "t={t}⁻: {v} vs {want}");
+        }
     }
 
     #[test]
-    fn lazy_min_with_staircase_and_jumps() {
+    fn crossing_lines_merge_exactly() {
+        let f = Pwl::affine(0.0, 2.0).unwrap();
+        let g = Pwl::affine(3.0, 1.0).unwrap();
+        // The lines cross at t = 3, which becomes a breakpoint of min/max.
+        let lower = f.lazy().lazy_min(g.lazy()).collect_pwl();
+        assert_bitwise(
+            &lower,
+            &Pwl::from_breakpoints(vec![(0.0, 0.0, 2.0), (3.0, 6.0, 1.0)]).unwrap(),
+        );
+        let upper = f.lazy().lazy_max(g.lazy()).collect_pwl();
+        assert_bitwise(
+            &upper,
+            &Pwl::from_breakpoints(vec![(0.0, 3.0, 1.0), (3.0, 6.0, 2.0)]).unwrap(),
+        );
+        let sum = f.lazy().lazy_add(g.lazy()).collect_pwl();
+        assert_bitwise(&sum, &Pwl::affine(3.0, 3.0).unwrap());
+    }
+
+    #[test]
+    fn staircase_and_jumps_merge_pointwise() {
         let f = Pwl::from_breakpoints(vec![
             (0.0, 1.0, 0.0),
             (1.0, 2.0, 0.5),
@@ -1137,34 +1199,42 @@ mod tests {
         ])
         .unwrap();
         let g = rate_latency(4.0, 1.0);
-        assert_bitwise(&f.lazy().lazy_min(g.lazy()).collect_pwl(), &f.min(&g));
-        assert_bitwise(&f.lazy().lazy_max(g.lazy()).collect_pwl(), &f.max(&g));
-        assert_bitwise(&g.lazy().lazy_min(f.lazy()).collect_pwl(), &g.min(&f));
-        assert_bitwise(&f.lazy().lazy_add(g.lazy()).collect_pwl(), &f.add(&g));
+        assert_pointwise(&f.lazy().lazy_min(g.lazy()).collect_pwl(), &f, &g, f64::min);
+        assert_pointwise(&g.lazy().lazy_min(f.lazy()).collect_pwl(), &f, &g, f64::min);
+        assert_pointwise(&f.lazy().lazy_max(g.lazy()).collect_pwl(), &f, &g, f64::max);
+        assert_pointwise(&f.lazy().lazy_add(g.lazy()).collect_pwl(), &f, &g, |a, b| a + b);
     }
 
     #[test]
-    fn lazy_scale_shift_match_eager_bitwise() {
+    fn scale_and_shift_streams() {
         let f = Pwl::from_breakpoints(vec![(0.0, 1.0, 1.5), (2.0, 4.0, 0.25)]).unwrap();
         assert_bitwise(
             &f.lazy().scale_by(2.5).unwrap().collect_pwl(),
-            &f.scale(2.5).unwrap(),
+            &Pwl::from_breakpoints(vec![(0.0, 2.5, 3.75), (2.0, 10.0, 0.625)]).unwrap(),
         );
+        // Right by 1.25 and up by 0.5: a flat head at f(0) + 0.5.
         assert_bitwise(
             &f.lazy().shift_by(1.25, 0.5).unwrap().collect_pwl(),
-            &f.shift(1.25, 0.5).unwrap(),
+            &Pwl::from_breakpoints(vec![
+                (0.0, 1.5, 0.0),
+                (1.25, 1.5, 1.5),
+                (3.25, 4.5, 0.25),
+            ])
+            .unwrap(),
         );
+        // A pure vertical shift has no head.
         assert_bitwise(
             &f.lazy().shift_by(0.0, 2.0).unwrap().collect_pwl(),
-            &f.shift(0.0, 2.0).unwrap(),
+            &Pwl::from_breakpoints(vec![(0.0, 3.0, 1.5), (2.0, 6.0, 0.25)]).unwrap(),
         );
         assert!(f.lazy().scale_by(-1.0).is_err());
         assert!(f.lazy().shift_by(-1.0, 0.0).is_err());
     }
 
     #[test]
-    fn deep_pointwise_chain_matches_eager() {
-        // min/max/add alternating over 8 curves, lazy end-to-end.
+    fn deep_pointwise_chain_matches_stagewise_collection() {
+        // min/max/add alternating over 8 curves: the fused chain equals the
+        // same chain collected after every stage.
         let curves: Vec<Pwl> = (0..8)
             .map(|i| {
                 // Second breakpoint sits on the first segment's reach plus a
@@ -1175,35 +1245,56 @@ mod tests {
                 Pwl::from_breakpoints(vec![(0.0, y0, s0), (x1, y1, 0.1 * i as f64)]).unwrap()
             })
             .collect();
-        let mut eager = curves[0].clone();
+        let mut stagewise = curves[0].clone();
         for (i, c) in curves.iter().enumerate().skip(1) {
-            eager = match i % 3 {
-                0 => eager.min(c),
-                1 => eager.max(c),
-                _ => eager.add(c),
+            stagewise = match i % 3 {
+                0 => stagewise.min(c),
+                1 => stagewise.max(c),
+                _ => stagewise.add(c),
             };
         }
-        // Lazy: same fold, materializing only at the end via boxed chaining.
-        let mut lazy: Box<dyn Iterator<Item = Segment>> = Box::new(curves[0].lazy());
+        let mut fused: Box<dyn Iterator<Item = Segment>> = Box::new(curves[0].lazy());
         for (i, c) in curves.iter().enumerate().skip(1) {
-            lazy = match i % 3 {
-                0 => Box::new(lazy.lazy_min(c.lazy())),
-                1 => Box::new(lazy.lazy_max(c.lazy())),
-                _ => Box::new(lazy.lazy_add(c.lazy())),
+            fused = match i % 3 {
+                0 => Box::new(fused.lazy_min(c.lazy())),
+                1 => Box::new(fused.lazy_max(c.lazy())),
+                _ => Box::new(fused.lazy_add(c.lazy())),
             };
         }
-        assert_bitwise(&lazy.collect_pwl(), &eager);
+        assert_bitwise(&fused.collect_pwl(), &stagewise);
     }
 
     #[test]
     fn norm_stage_merges_coinciding_starts_like_from_segments() {
         // A shift by exactly the first-breakpoint gap makes the head and the
-        // mapped first segment collinear; the lazy path must merge them the
-        // same way the eager constructor does.
+        // mapped first segment collinear; the stream must merge them the
+        // way the validating constructor does on the raw segments.
         let f = Pwl::from_breakpoints(vec![(0.0, 2.0, 0.0), (1.0, 2.0, 3.0)]).unwrap();
+        let raw = vec![(0.0, 2.0, 0.0), (0.5, 2.0, 0.0), (1.5, 2.0, 3.0)];
         assert_bitwise(
             &f.lazy().shift_by(0.5, 0.0).unwrap().collect_pwl(),
-            &f.shift(0.5, 0.0).unwrap(),
+            &Pwl::from_breakpoints(raw).unwrap(),
         );
+    }
+
+    #[test]
+    fn fold_merge_cuts_do_not_change_the_result() {
+        // More than two FOLD_DEPTH blocks of zero-head branches, each one
+        // the top of the envelope right after its start: the bounded fold
+        // must equal the fully nested left-deep fold bit for bit.
+        let f = Pwl::from_breakpoints(vec![(0.0, 1.0, 0.5), (0.75, 2.0, 0.25)]).unwrap();
+        let branches = |n: usize| {
+            (0..n).map(|i| LazyCurve::zero_head(&f, 0.125 * i as f64, 0.5 * i as f64))
+        };
+        let n = 2 * FOLD_DEPTH + 9;
+        let bounded = LazyCurve::fold_merge(branches(n), MergeOp::Upper)
+            .unwrap()
+            .collect_pwl();
+        let nested = branches(n)
+            .reduce(|a, b| LazyCurve::merge(a, b, MergeOp::Upper))
+            .unwrap()
+            .collect_pwl();
+        assert_bitwise(&bounded, &nested);
+        assert!(LazyCurve::fold_merge(branches(0), MergeOp::Upper).is_none());
     }
 }

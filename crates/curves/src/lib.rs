@@ -12,9 +12,10 @@
 //!   scaling, shifting) in [`ops`](crate::pwl);
 //! * min-plus convolution `⊗`, deconvolution `⊘` and the sub-additive
 //!   closure in [`minplus`];
-//! * a lazy, composable streaming form of the same algebra in [`iter`]
-//!   (operator chains as segment iterators, bit-identical to the eager
-//!   path) and dominance-based segment compaction in [`compact`];
+//! * the lazy, composable streaming form of that algebra in [`iter`]
+//!   (operator chains as segment iterators; the materializing operators
+//!   above collect them) and dominance-based segment compaction in
+//!   [`compact`];
 //! * the classic Network Calculus bounds in [`bounds`]: backlog
 //!   `B ≤ sup_{Δ≥0} (α(Δ) − β(Δ))` (eq. 6 of the paper), delay as the
 //!   horizontal deviation, and the output arrival curve `α′ = α ⊘ β`;

@@ -19,7 +19,7 @@
 //! breakpoint of `f` or `g`, so the result is the upper (resp. lower)
 //! envelope of finitely many shifted copies.
 
-use crate::iter::{LazyCurve, MergeOp};
+use crate::iter::{CurveIter, LazyCurve, MergeOp};
 use crate::num::EPSILON;
 use crate::pwl::{Pwl, Segment};
 use crate::CurveError;
@@ -45,54 +45,37 @@ use crate::CurveError;
 /// ```
 #[must_use]
 pub fn convolve(f: &Pwl, g: &Pwl) -> Pwl {
-    // Upper envelope over candidates s at breakpoints of g (with the
-    // stored right-limit; the sup wants the *largest* g) and t−s at
-    // breakpoints of f. A candidate anchored at breakpoint `b` is only
-    // defined for t ≥ b (the split needs s ≤ t); below that it is replaced
-    // by zero, which can never win the max since curves are non-negative.
-    let mut env = f
-        .shift(0.0, g.value(0.0))
-        .expect("shift by non-negative offsets");
-    for b in g.breakpoint_xs().skip(1) {
-        env = env.max(&shift_zero_head(f, b, g.value(b)));
-    }
-    for a in f.breakpoint_xs().skip(1) {
-        env = env.max(&shift_zero_head(g, a, f.value(a)));
-    }
-    env.max(
-        &g.shift(0.0, f.value(0.0))
-            .expect("shift by non-negative offsets"),
-    )
+    convolve_lazy(f, g).collect_pwl()
 }
 
-/// Lazy max-plus convolution: the same exact envelope as [`convolve`],
-/// returned as a composable segment stream. Bit-identical to the eager
-/// path once collected — the stream mirrors the eager left-deep max fold
-/// over the same shifted-copy branches. See
-/// [`crate::minplus::convolve_lazy`] for the streaming contract.
+/// Lazy max-plus convolution: the exact envelope of [`convolve`] as a
+/// composable segment stream; see [`crate::minplus::convolve_lazy`] for
+/// the streaming contract. [`convolve`] is this stream collected.
+///
+/// The envelope is a left-to-right max fold over the candidates `s` at the
+/// breakpoints of `g` (with the stored right-limit; the sup wants the
+/// *largest* `g`) and `t − s` at the breakpoints of `f`. A candidate
+/// anchored at breakpoint `b` is only defined for `t ≥ b` (the split needs
+/// `s ≤ t`); below that it is replaced by zero, which can never win the max
+/// since curves are non-negative. The fold has one stage per breakpoint, so
+/// it is collected every few dozen stages to keep the nesting of merge
+/// iterators — and with it the stack depth of consuming the stream —
+/// bounded whatever the operand sizes.
 #[must_use]
 pub fn convolve_lazy<'a>(f: &'a Pwl, g: &'a Pwl) -> LazyCurve<'a> {
-    let mut env = LazyCurve::shift(f, 0.0, g.value(0.0));
-    for b in g.breakpoint_xs().skip(1) {
-        env = LazyCurve::merge(env, LazyCurve::zero_head(f, b, g.value(b)), MergeOp::Upper);
-    }
-    for a in f.breakpoint_xs().skip(1) {
-        env = LazyCurve::merge(env, LazyCurve::zero_head(g, a, f.value(a)), MergeOp::Upper);
-    }
-    LazyCurve::merge(
-        env,
-        LazyCurve::shift(g, 0.0, f.value(0.0)),
-        MergeOp::Upper,
-    )
-}
-
-/// `t ↦ curve(t − dx) + dy` for `t ≥ dx`, zero below.
-fn shift_zero_head(curve: &Pwl, dx: f64, dy: f64) -> Pwl {
-    let mut segs = vec![Segment::new(0.0, 0.0, 0.0)];
-    for s in curve.segments() {
-        segs.push(Segment::new(s.x + dx, s.y + dy, s.slope));
-    }
-    Pwl::from_segments(segs).expect("shifted copy of a valid curve is valid")
+    let branches = std::iter::once(LazyCurve::shift(f, 0.0, g.value(0.0)))
+        .chain(
+            g.breakpoint_xs()
+                .skip(1)
+                .map(|b| LazyCurve::zero_head(f, b, g.value(b))),
+        )
+        .chain(
+            f.breakpoint_xs()
+                .skip(1)
+                .map(|a| LazyCurve::zero_head(g, a, f.value(a))),
+        )
+        .chain(std::iter::once(LazyCurve::shift(g, 0.0, f.value(0.0))));
+    LazyCurve::fold_merge(branches, MergeOp::Upper).expect("at least two branches")
 }
 
 /// Max-plus deconvolution `(f ⊖ g)(t) = inf_{s ≥ 0} f(t+s) − g(s)`,
@@ -241,6 +224,33 @@ mod tests {
                 "far above brute sup at t={t}"
             );
         }
+    }
+
+    #[test]
+    fn long_operands_convolve_on_a_small_stack() {
+        // Regression: the fold has one merge stage per breakpoint. Nested
+        // without bound, collecting it recursed through all of them and
+        // overflowed the stack of a spawned thread (2 MiB by default) at
+        // 4096 breakpoints per operand. At these sizes the unbounded fold
+        // overflows this thread's stack in debug and release builds.
+        const STEPS: usize = 640;
+        let stairs = |rise: f64| {
+            let tail = |i: usize| if i + 1 == STEPS { 1.0 } else { 0.0 };
+            let bps = (0..STEPS)
+                .map(|i| (i as f64 * 0.5, i as f64 * rise, tail(i)))
+                .collect();
+            Pwl::from_breakpoints(bps).unwrap()
+        };
+        let (f, g) = (stairs(1.0), stairs(0.75));
+        let c = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || convolve(&f, &g))
+            .unwrap()
+            .join()
+            .expect("max-plus convolution must not overflow a 256 KiB stack");
+        // The sup splits at s = 0: the steeper staircase plus g(0) = 0.
+        assert_eq!(c.value(10.0), 20.0);
+        assert!(c.segments().len() >= STEPS);
     }
 
     #[test]

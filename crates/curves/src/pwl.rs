@@ -7,6 +7,7 @@
 //! (curves are the *right-continuous* versions, so e.g. a leaky bucket has
 //! `α(0) = b`), downward jumps are not.
 
+use crate::iter::CurveIter;
 use crate::num::{approx_eq, approx_ge, require_non_negative, EPSILON};
 use crate::CurveError;
 
@@ -171,7 +172,7 @@ impl Pwl {
     /// Trusted constructor for segment lists that are already deduplicated,
     /// validated and normalized — i.e. the exact output the
     /// [`Pwl::from_segments`] pipeline would produce. Used by the lazy
-    /// iterator layer ([`crate::iter`]), whose adapters run the same
+    /// operator layer ([`crate::iter`]), whose adapters run the same
     /// dedup/validate/normalize steps incrementally while streaming.
     ///
     /// Debug builds re-check the invariants; release builds trust the caller.
@@ -324,37 +325,24 @@ impl Pwl {
     }
 
     /// Pointwise minimum (lower envelope) of two curves — exact, including
-    /// intersection points inside segments.
+    /// intersection points inside segments. The collected
+    /// [`CurveIter::lazy_min`] stream.
     #[must_use]
     pub fn min(&self, other: &Pwl) -> Pwl {
-        envelope(self, other, true)
+        self.lazy().lazy_min(other.lazy()).collect_pwl()
     }
 
-    /// Pointwise maximum (upper envelope) of two curves.
+    /// Pointwise maximum (upper envelope) of two curves. The collected
+    /// [`CurveIter::lazy_max`] stream.
     #[must_use]
     pub fn max(&self, other: &Pwl) -> Pwl {
-        envelope(self, other, false)
+        self.lazy().lazy_max(other.lazy()).collect_pwl()
     }
 
-    /// Pointwise sum `f + g`.
+    /// Pointwise sum `f + g`. The collected [`CurveIter::lazy_add`] stream.
     #[must_use]
     pub fn add(&self, other: &Pwl) -> Pwl {
-        let xs = merged_breakpoints(self, other);
-        let mut segs = Vec::with_capacity(xs.len());
-        for (i, &x) in xs.iter().enumerate() {
-            let y = self.value(x) + other.value(x);
-            let slope = if i + 1 < xs.len() {
-                // Slope on [x_i, x_{i+1}) from left-limits to keep jumps at
-                // the junction rather than smearing them.
-                let next_x = xs[i + 1];
-                let left = self.value_left(next_x) + other.value_left(next_x);
-                (left - y) / (next_x - x)
-            } else {
-                self.ultimate_rate() + other.ultimate_rate()
-            };
-            segs.push(Segment::new(x, y, slope.max(0.0)));
-        }
-        Pwl::from_segments(segs).expect("sum of valid curves is valid")
+        self.lazy().lazy_add(other.lazy()).collect_pwl()
     }
 
     /// Pointwise difference clamped at zero: `max(f − g, 0)`.
@@ -414,44 +402,27 @@ impl Pwl {
         Pwl::from_segments(segs).expect("clamped difference is valid")
     }
 
-    /// Vertical scaling `c·f`.
+    /// Vertical scaling `c·f`. The collected [`CurveIter::scale_by`]
+    /// stream.
     ///
     /// # Errors
     ///
     /// Returns [`CurveError::NegativeParameter`] if `c` is negative or NaN.
     pub fn scale(&self, c: f64) -> Result<Pwl, CurveError> {
-        let c = require_non_negative("c", c)?;
-        let segs = self
-            .segments
-            .iter()
-            .map(|s| Segment::new(s.x, s.y * c, s.slope * c))
-            .collect();
-        Pwl::from_segments(segs)
+        Ok(self.lazy().scale_by(c)?.collect_pwl())
     }
 
     /// Shifts the curve right by `dx ≥ 0` and up by `dy ≥ 0`:
     /// `g(t) = f(t − dx) + dy` for `t ≥ dx`, and `g(t) = f(0) + dy` below —
-    /// i.e. the head is held flat at the shifted initial value.
+    /// i.e. the head is held flat at the shifted initial value. The
+    /// collected [`CurveIter::shift_by`] stream.
     ///
     /// # Errors
     ///
     /// Returns [`CurveError::NegativeParameter`] if `dx` or `dy` is negative
     /// or NaN.
     pub fn shift(&self, dx: f64, dy: f64) -> Result<Pwl, CurveError> {
-        let dx = require_non_negative("dx", dx)?;
-        let dy = require_non_negative("dy", dy)?;
-        let mut segs = Vec::with_capacity(self.segments.len() + 1);
-        if dx > EPSILON {
-            segs.push(Segment::new(0.0, self.segments[0].y + dy, 0.0));
-        }
-        for s in &self.segments {
-            segs.push(Segment::new(s.x + dx, s.y + dy, s.slope));
-        }
-        if dx <= EPSILON {
-            // Pure vertical shift: fix the first x back to exactly 0.
-            segs[0].x = 0.0;
-        }
-        Pwl::from_segments(segs)
+        Ok(self.lazy().shift_by(dx, dy)?.collect_pwl())
     }
 
     /// Lower pseudo-inverse `f⁻¹(y) = inf { t ≥ 0 : f(t) ≥ y }`.
@@ -531,59 +502,6 @@ pub(crate) fn merged_breakpoints(a: &Pwl, b: &Pwl) -> Vec<f64> {
     xs.sort_by(f64::total_cmp);
     xs.dedup_by(|p, q| approx_eq(*p, *q));
     xs
-}
-
-/// Exact lower (`lower = true`) or upper envelope of two PWL curves.
-fn envelope(f: &Pwl, g: &Pwl, lower: bool) -> Pwl {
-    let mut xs = merged_breakpoints(f, g);
-    // Add interior intersection points (collected before `xs` is extended,
-    // so no snapshot copy of the breakpoint list is needed).
-    let mut extra = Vec::new();
-    for w in xs.windows(2) {
-        push_crossing(f, g, w[0], w[1], &mut extra);
-    }
-    // The tails may also cross beyond the last breakpoint.
-    let last = *xs.last().expect("curves have at least one breakpoint");
-    let (fv, gv) = (f.value(last), g.value(last));
-    let (fr, gr) = (f.ultimate_rate(), g.ultimate_rate());
-    if (fr - gr).abs() > EPSILON {
-        let t = last + (gv - fv) / (fr - gr);
-        if t > last + EPSILON {
-            extra.push(t);
-        }
-    }
-    xs.extend(extra);
-    xs.sort_by(f64::total_cmp);
-    xs.dedup_by(|p, q| approx_eq(*p, *q));
-
-    let pick = |fa: f64, ga: f64| if lower { fa.min(ga) } else { fa.max(ga) };
-    let mut segs = Vec::with_capacity(xs.len());
-    for (i, &x) in xs.iter().enumerate() {
-        let y = pick(f.value(x), g.value(x));
-        let slope = if i + 1 < xs.len() {
-            let nx = xs[i + 1];
-            let ny = pick(f.value_left(nx), g.value_left(nx));
-            ((ny - y) / (nx - x)).max(0.0)
-        } else if lower {
-            fr.min(gr)
-        } else {
-            fr.max(gr)
-        };
-        segs.push(Segment::new(x, y, slope));
-    }
-    Pwl::from_segments(segs).expect("envelope of valid curves is valid")
-}
-
-/// If `f − g` changes sign on `(a, b)` (both linear there), push the crossing.
-fn push_crossing(f: &Pwl, g: &Pwl, a: f64, b: f64, out: &mut Vec<f64>) {
-    let da = f.value(a) - g.value(a);
-    let db = f.value_left(b) - g.value_left(b);
-    if (da > 0.0) != (db > 0.0) && (db - da).abs() > EPSILON {
-        let t = a + (b - a) * (0.0 - da) / (db - da);
-        if t > a + EPSILON && t < b - EPSILON {
-            out.push(t);
-        }
-    }
 }
 
 #[cfg(test)]

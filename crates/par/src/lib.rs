@@ -456,7 +456,7 @@ where
     wcm_obs::counter("par.par_runs", 1);
     wcm_obs::counter("par.workers_spawned", workers as u64);
     let mut buf: Vec<Option<U>> = Vec::new();
-    let mut out: Vec<U> = Vec::with_capacity(chunk_items);
+    let mut out: Vec<U> = Vec::with_capacity(chunk_items.min(n_items));
     let mut start = 0;
     while start < n_items {
         let end = (start + chunk_items).min(n_items);

@@ -781,7 +781,9 @@ fn eval_point_inner(
     ))
 }
 
-/// Runs the sweep over `clips × spec` with the given parallelism.
+/// Runs the sweep over `clips × spec` with the given parallelism and
+/// collects every point: [`run_sweep_streaming`] over the full grid into
+/// a [`CollectSink`].
 ///
 /// The returned report is deterministic: identical for every `par`
 /// setting, including the order of `points`.
@@ -795,114 +797,13 @@ pub fn run_sweep(
     spec: &SweepSpec,
     par: Parallelism,
 ) -> Result<SweepReport, SweepError> {
-    validate(clips, spec)?;
-
-    let _span = wcm_obs::span("sweep.run");
-
-    // Phase 1: per-clip analysis, memoized once (the window scans inside
-    // already honour `par`).
-    let ctxs: Vec<ClipContext> = {
-        let _span = wcm_obs::span("sweep.clip_analysis");
-        clips
-            .iter()
-            .map(|c| ClipContext::build(c, spec, par))
-            .collect::<Result<_, _>>()?
-    };
-
-    // Phase 2: enumerate the grid in deterministic nested order.
-    let mut grid = Vec::new();
-    for clip in 0..clips.len() {
-        for freq in 0..spec.frequencies_hz.len() {
-            for cap in 0..spec.capacities.len() {
-                for policy in 0..spec.policies.len() {
-                    for seed in 0..spec.seeds.len() {
-                        grid.push(GridPoint {
-                            clip,
-                            freq,
-                            cap,
-                            policy,
-                            seed,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // Phase 3: batch-classify the grid analytically (one vectorized pass
-    // per (clip, seed, capacity) over the frequency run), then
-    // classify/simulate the rest in parallel, one reusable scratch per
-    // worker. Results land by index: grid order in, grid order out.
-    let table = AnalyticTable::build(&ctxs, spec);
-    let events_per_point = clips.iter().map(ClipWorkload::macroblock_count).sum::<usize>()
-        / clips.len();
-    let cost = (grid.len() as u64) * (events_per_point as u64).max(1) * 16;
-    wcm_obs::counter("sweep.points", grid.len() as u64);
-    let evaluated = {
-        let _span = wcm_obs::span("sweep.eval");
-        wcm_par::par_map_init(par, &grid, cost, SimScratch::new, |scratch, _, p| {
-            eval_point(*p, &ctxs, spec, &table, scratch)
-        })
-    };
-
-    let mut points = Vec::with_capacity(grid.len());
-    let mut stats = SweepStats {
-        total: grid.len(),
-        ..SweepStats::default()
-    };
-    for (p, out) in grid.iter().zip(evaluated) {
-        let (verdict, sim) = out?;
-        match verdict {
-            Verdict::ProvablySafe => stats.pruned_safe += 1,
-            Verdict::ProvablyUnsafe => stats.pruned_unsafe += 1,
-            Verdict::SimOk | Verdict::SimOverflow => stats.simulated += 1,
-        }
-        if verdict.overflowed() {
-            stats.overflowed += 1;
-        }
-        if let Some((b, _, _)) = sim {
-            wcm_obs::gauge_max("sweep.max_backlog", b);
-        }
-        points.push(PointReport {
-            clip: ctxs[p.clip].name.clone(),
-            frequency_hz: spec.frequencies_hz[p.freq],
-            capacity: spec.capacities[p.cap],
-            policy: spec.policies[p.policy],
-            seed: spec.seeds[p.seed],
-            verdict,
-            max_backlog: sim.map(|(b, _, _)| b),
-            dropped: sim.map(|(_, d, _)| d),
-            pe1_stalled_s: sim.map(|(_, _, s)| s),
-        });
-    }
-
-    let advisories = ctxs
-        .iter()
-        .flat_map(|ctx| {
-            spec.frequencies_hz
-                .iter()
-                .zip(&ctx.rms)
-                .filter_map(|(&f, r)| {
-                    r.map(|(schedulable, l)| RmsAdvisory {
-                        clip: ctx.name.clone(),
-                        frequency_hz: f,
-                        schedulable,
-                        l_factor: l,
-                    })
-                })
-        })
-        .collect();
-
-    let pareto = pareto_frontier(&points, spec);
-    Ok(SweepReport {
-        points,
-        advisories,
-        stats,
-        pareto,
-    })
+    let mut sink = CollectSink::new();
+    let summary = run_sweep_streaming(clips, spec, par, ShardRange::FULL, &mut sink)?;
+    Ok(sink.into_report(&summary))
 }
 
-/// Axis-validity checks shared by [`run_sweep`] and [`run_frontier`].
+/// Axis-validity checks shared by [`run_sweep_streaming`] and
+/// [`run_frontier`].
 fn validate(clips: &[ClipWorkload], spec: &SweepSpec) -> Result<(), SweepError> {
     if clips.is_empty() {
         return Err(SweepError::Invalid("no clips"));
@@ -933,16 +834,12 @@ fn validate(clips: &[ClipWorkload], spec: &SweepSpec) -> Result<(), SweepError> 
 }
 
 /// Non-dominated `(frequency, capacity)` pairs where no clean point of
-/// any clip/policy overflows.
-fn pareto_frontier(points: &[PointReport], spec: &SweepSpec) -> Vec<(f64, u64)> {
-    pareto_frontier_values(points, &spec.frequencies_hz, &spec.capacities)
-}
-
-/// [`pareto_frontier`] against explicit axis vectors — the form
-/// [`merge_shards`] uses, where the axes come off the wire instead of a
-/// [`SweepSpec`]. Cells are compared **by axis value**: a `(f, c)` cell
-/// is safe only if *no* clean point with that frequency value and
-/// capacity value overflows, so duplicate axis entries share one fate.
+/// any clip/policy overflows, from materialized points against explicit
+/// axis vectors — the form [`merge_shards`] uses, where the axes come off
+/// the wire instead of a [`SweepSpec`]. Cells are compared **by axis
+/// value**: a `(f, c)` cell is safe only if *no* clean point with that
+/// frequency value and capacity value overflows, so duplicate axis
+/// entries share one fate.
 fn pareto_frontier_values(
     points: &[PointReport],
     frequencies_hz: &[f64],
@@ -980,6 +877,23 @@ fn pareto_frontier_values(
             }
         }
     }
+    frontier_of_cells(frequencies_hz, capacities, &f_canon, &c_canon, &overflow)
+}
+
+/// The Pareto frontier of a cell bitmap: `overflow[fi · |capacities| + ci]`
+/// marks a canonical cell where some clean point overflows. Only
+/// canonical cells are enumerated — duplicate axis values share one cell,
+/// and [`nondominated`] must see each cell once, both for the tie contract
+/// and because its strict-domination filter is quadratic in the safe-set
+/// size. Shared by [`merge_shards`] and [`run_sweep_streaming`], so the
+/// merged and streamed frontiers cannot drift apart.
+fn frontier_of_cells(
+    frequencies_hz: &[f64],
+    capacities: &[u64],
+    f_canon: &[usize],
+    c_canon: &[usize],
+    overflow: &[bool],
+) -> Vec<(f64, u64)> {
     let mut safe: Vec<(f64, u64)> = Vec::new();
     for (fi, &f) in frequencies_hz.iter().enumerate() {
         if f_canon[fi] != fi {
@@ -997,10 +911,9 @@ fn pareto_frontier_values(
     nondominated(&safe)
 }
 
-/// Strict-domination filter + canonical sort shared by the dense
-/// [`pareto_frontier`], [`run_frontier`] and the streaming online
-/// accumulator of [`run_sweep_streaming`] — one implementation so the
-/// paths cannot drift apart on ties or duplicate axis values.
+/// Strict-domination filter + canonical sort shared by the streaming
+/// sweep, [`merge_shards`] and [`run_frontier`] — one implementation so
+/// the paths cannot drift apart on ties or duplicate axis values.
 ///
 /// Tie/duplicate contract (also the contract of [`SweepReport::pareto`]):
 ///
@@ -1056,7 +969,7 @@ pub struct FrontierReport {
 
 /// Memoizing safety oracle over `(frequency, capacity)` cells: a cell is
 /// safe iff no clean-seed point of any clip/policy at that cell
-/// overflows — exactly the predicate of the dense [`pareto_frontier`].
+/// overflows — exactly the predicate of [`SweepReport::pareto`].
 struct CellOracle<'a> {
     ctxs: &'a [ClipContext],
     spec: &'a SweepSpec,
@@ -1172,8 +1085,8 @@ fn solve_staircase(
 /// [`staircase_thresholds`] locates with O(log grid) cell evaluations
 /// per capacity. The safe set is then rebuilt from the thresholds and
 /// pushed through the **same** non-domination filter in the **same**
-/// enumeration order as the dense path, so the result is bit-identical
-/// to [`SweepReport::pareto`] — duplicates and ties included.
+/// enumeration order as the sweep, so the result is bit-identical to
+/// [`SweepReport::pareto`] — duplicates and ties included.
 ///
 /// # Errors
 ///
@@ -1539,10 +1452,10 @@ impl<'a> PointRecord<'a> {
 
 /// Everything a [`SweepReport`] carries except the point vector:
 /// what [`run_sweep_streaming`] returns after the last point has been
-/// pushed to the sink. For a full-grid run (`ShardRange::FULL`) every
-/// field is **byte-identical** to the corresponding [`run_sweep`]
-/// fields; for a shard run, `stats` and `pareto` cover only the shard's
-/// slice of the grid (the merge step recomputes them globally).
+/// pushed to the sink. For a full-grid run (`ShardRange::FULL`) these are
+/// the fields of [`run_sweep`]'s report; for a shard run, `stats` and
+/// `pareto` cover only the shard's slice of the grid (the merge step
+/// recomputes them globally).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSummary {
     /// Per-`(clip, frequency)` RMS advisories (always the full set —
@@ -1618,10 +1531,8 @@ pub trait SweepSink {
 }
 
 /// In-process aggregating sink: collects the streamed points so
-/// [`CollectSink::into_report`] can rebuild the exact [`SweepReport`] of
-/// the materializing path — the equivalence witness used by the tests
-/// and benches, and the bridge for callers that want streaming
-/// evaluation but a materialized result.
+/// [`CollectSink::into_report`] can build the full [`SweepReport`] —
+/// how [`run_sweep`] materializes its result.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     points: Vec<PointReport>,
@@ -1647,6 +1558,13 @@ impl CollectSink {
 }
 
 impl SweepSink for CollectSink {
+    /// Sizes the point vector once, for the whole slice, so collecting
+    /// never reallocates while the points arrive.
+    fn begin(&mut self, header: &SweepRunHeader<'_>) -> Result<(), SweepError> {
+        self.points.reserve_exact(header.len as usize);
+        Ok(())
+    }
+
     fn point(&mut self, rec: &PointRecord<'_>) -> Result<(), SweepError> {
         self.points.push(rec.to_report());
         Ok(())
@@ -1873,9 +1791,9 @@ pub fn spec_fingerprint(clips: &[ClipWorkload], spec: &SweepSpec) -> u64 {
     h
 }
 
-/// Decomposes a global grid index into axis indices — the arithmetic
-/// inverse of the nested enumeration in [`run_sweep`], so the streaming
-/// path never materializes the grid vector.
+/// Decomposes a global grid index into axis indices (clip-major, then
+/// frequency, capacity, policy, seed), so the sweep never materializes
+/// the grid vector.
 fn grid_point_at(mut idx: u64, n_freq: usize, n_cap: usize, n_pol: usize, n_seed: usize) -> GridPoint {
     let seed = (idx % n_seed as u64) as usize;
     idx /= n_seed as u64;
@@ -1896,36 +1814,33 @@ fn grid_point_at(mut idx: u64, n_freq: usize, n_cap: usize, n_pol: usize, n_seed
 
 /// Canonical axis-index map: each position maps to the first position
 /// holding an equal value, so duplicate axis values share one frontier
-/// cell — the index-space mirror of the by-value matching in
-/// `pareto_frontier_values`.
+/// cell.
 fn canonical_positions<T: PartialEq>(axis: &[T]) -> Vec<usize> {
     axis.iter()
         .map(|v| axis.iter().position(|w| w == v).expect("v is in axis"))
         .collect()
 }
 
-/// Streaming counterpart of [`run_sweep`]: evaluates the shard's slice
-/// of the grid and pushes every point to `sink` in grid-index order
-/// instead of collecting a vector. Peak memory is **independent of the
-/// grid size** — one bounded chunk of verdicts in flight, the per-clip
-/// analysis contexts, and the analytic table's one slot per
+/// The sweep driver: evaluates the shard's slice of the grid and pushes
+/// every point to `sink` in grid-index order instead of collecting a
+/// vector ([`run_sweep`] is this over the full grid into a
+/// [`CollectSink`]). Peak memory is **independent of the grid size** —
+/// one bounded chunk of verdicts in flight, the per-clip analysis
+/// contexts, and the analytic table's one slot per
 /// `(clip, seed, capacity, frequency)` cell.
 ///
-/// Determinism carries over from [`run_sweep`] wholesale: points arrive
-/// in grid order for every `par` setting, and for a full-grid run
-/// (`ShardRange::FULL`) the returned [`SweepSummary`] — stats, advisory
-/// set and Pareto frontier, ties included — is **byte-identical** to the
-/// corresponding fields of [`run_sweep`]'s report. The frontier is
-/// tracked online: clean-seed overflows mark their
-/// `(frequency, capacity)` cell (by canonical value, so duplicate axis
-/// entries share one cell exactly like the by-value filter of the
-/// materializing path) and the safe cells are enumerated in the same
-/// axis order at the end.
+/// Points arrive in grid order for every `par` setting, and the returned
+/// [`SweepSummary`] — stats, advisory set and Pareto frontier, ties
+/// included — does not depend on `par` either. The frontier is tracked
+/// online: clean-seed overflows mark their `(frequency, capacity)` cell
+/// (by canonical value, so duplicate axis entries share one cell) and the
+/// safe cells are enumerated in axis order at the end.
 ///
 /// # Errors
 ///
-/// [`SweepError::Invalid`] for a bad spec or an out-of-range shard;
-/// sink errors verbatim; otherwise as [`run_sweep`].
+/// [`SweepError::Invalid`] for an empty grid axis, a non-positive PE₁
+/// clock or an out-of-range shard; sink errors verbatim; otherwise
+/// propagates simulation/analysis errors.
 pub fn run_sweep_streaming(
     clips: &[ClipWorkload],
     spec: &SweepSpec,
@@ -1937,7 +1852,7 @@ pub fn run_sweep_streaming(
     if shard.count == 0 || shard.index >= shard.count {
         return Err(SweepError::Invalid("shard index out of range"));
     }
-    let _span = wcm_obs::span("sweep.stream");
+    let _span = wcm_obs::span("sweep.run");
 
     let ctxs: Vec<ClipContext> = {
         let _span = wcm_obs::span("sweep.clip_analysis");
@@ -2000,7 +1915,7 @@ pub fn run_sweep_streaming(
     let events_per_point = clips.iter().map(ClipWorkload::macroblock_count).sum::<usize>()
         / clips.len();
     let cost = (len as u64) * (events_per_point as u64).max(1) * 16;
-    wcm_obs::counter("sweep.stream.points", len as u64);
+    wcm_obs::counter("sweep.points", len as u64);
     {
         let _span = wcm_obs::span("sweep.eval");
         wcm_par::par_map_stream(
@@ -2050,29 +1965,16 @@ pub fn run_sweep_streaming(
         )?;
     }
 
-    // Canonical cells only: duplicate axis values share one cell, and
-    // `nondominated` must see each cell once — both for the tie
-    // contract and because its strict-domination filter is quadratic in
-    // the safe-set size. Same enumeration as `pareto_frontier_values`,
-    // so the streamed frontier stays byte-identical to the dense one.
-    let mut safe: Vec<(f64, u64)> = Vec::new();
-    for (fi, &f) in spec.frequencies_hz.iter().enumerate() {
-        if freq_canon[fi] != fi {
-            continue;
-        }
-        for (ci, &c) in spec.capacities.iter().enumerate() {
-            if cap_canon[ci] != ci {
-                continue;
-            }
-            if !overflow_cells[fi * n_cap + ci] {
-                safe.push((f, c));
-            }
-        }
-    }
     let summary = SweepSummary {
         advisories,
         stats,
-        pareto: nondominated(&safe),
+        pareto: frontier_of_cells(
+            &spec.frequencies_hz,
+            &spec.capacities,
+            &freq_canon,
+            &cap_canon,
+            &overflow_cells,
+        ),
     };
     sink.finish(&summary)?;
     Ok(summary)
@@ -2096,7 +1998,7 @@ fn advisory_recs_equal(a: &[wcm_wire::SweepAdvisoryRec], b: &[wcm_wire::SweepAdv
 /// output: points are stitched back into global grid order, stats are
 /// recounted from the verdicts, advisories come from the (validated
 /// identical) shard metadata, and the frontier goes through the same
-/// by-value filter as the dense path.
+/// canonical-cell enumeration as the sweep itself.
 ///
 /// # Errors
 ///
@@ -2599,9 +2501,8 @@ mod tests {
     fn duplicate_axis_values_share_one_frontier_entry_in_both_paths() {
         let clips = small_clips(1);
         let mut spec = small_spec();
-        // Duplicate one frequency and one capacity: the dense path filters
-        // frontier candidates by value, so the streamed accumulator must
-        // collapse the duplicate cells the same way.
+        // Duplicate one frequency and one capacity: the streamed
+        // accumulator must collapse the duplicate cells into one.
         spec.frequencies_hz = vec![2.0e6, 6.0e6, 6.0e6, 60.0e6];
         spec.capacities = vec![4, 80, 80, 4000];
         let dense = run_sweep(&clips, &spec, Parallelism::Seq).unwrap();

@@ -1,11 +1,10 @@
 //! Streaming-sweep equivalence properties.
 //!
-//! The streaming path earns its keep only if it is *indistinguishable*
-//! from the materializing path: for randomized small specs,
-//! [`run_sweep_streaming`] through a collecting sink must rebuild
-//! [`run_sweep`]'s report byte-for-byte (JSON and CSV included) across
-//! worker counts, and any shard split recombined through the `.wcmt`
-//! wire round trip and [`merge_shards`] must land on the same bytes.
+//! For randomized small specs, [`run_sweep_streaming`] through a
+//! collecting sink must reproduce the sequential [`run_sweep`] report
+//! byte-for-byte (JSON and CSV included) across worker counts, and any
+//! shard split recombined through the `.wcmt` wire round trip and
+//! [`merge_shards`] must land on the same bytes.
 
 use proptest::prelude::*;
 use wcm_events::window::WindowMode;

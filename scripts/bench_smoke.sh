@@ -67,11 +67,13 @@ check "curves.merge_overhead"         "$(jq .chunk_summaries.merge_overhead_vs_s
 check "curves.append_over_rebuild"    "$(jq .append_one_gop.append_over_rebuild BENCH_curves.json)" "<=" 0.25
 
 # Lazy curve algebra: composing a 32-stage tandem service chain on the
-# streaming path must allocate at least 5x fewer times than the eager
-# fold (recorded 5.9x). Allocation counts are deterministic — same
-# inputs, same single-threaded code path — so this guard is exact, not
-# noise-bound, and any regression is a real one.
-check "curves.lazy_alloc_ratio"       "$(jq .lazy_tandem_32.alloc_ratio BENCH_curves.json)" ">=" 5.0
+# streaming path must stay at or below 3151 allocations (recorded
+# 2654) — the bound the former ">= 5x fewer than the eager fold" ratio
+# enforced against the eager fold's recorded 15756. Allocation counts
+# are deterministic — same inputs, same single-threaded code path — so
+# this guard is exact, not noise-bound, and any regression is a real
+# one.
+check "curves.lazy_allocs"            "$(jq .lazy_tandem_32.lazy_allocs BENCH_curves.json)" "<=" 3151
 
 # Wire format: the lenient (resync-capable) reader must stay within 50%
 # of the strict reader on a *clean* stream — graceful degradation is

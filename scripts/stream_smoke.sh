@@ -3,9 +3,9 @@
 # multi-process shard/merge fan-out, exercised end-to-end through the
 # CLI. Checks the contracts the streaming path ships with:
 #
-#  * `--stream on` produces byte-identical JSON/CSV artifacts (and
-#    stdout) to the default materializing path — streaming is an
-#    implementation detail, never a format change;
+#  * the row-streamed JSON/CSV artifacts leave no side file behind,
+#    on success or on an error exit, and a failed run leaves no
+#    partial CSV;
 #  * N `--shard i/N --out-wcmt` processes run concurrently, and
 #    `--merge` folds their `.wcmt` outputs into a report byte-identical
 #    to the single-process run;
@@ -27,33 +27,33 @@ base=(sweep --clips newscast,sports --gops 1
       --pe2-mhz 5,20,60,200 --capacities 16,400,1620
       --policies backpressure,reject --k 600 --cert-depth 3300)
 
-echo "== streaming sink: byte-identical artifacts and stdout =="
+echo "== streamed artifacts: no side files left behind =="
 "$cli" "${base[@]}" --json "$out/dense.json" --csv "$out/dense.csv" >"$out/dense.out"
-"$cli" "${base[@]}" --stream on --json "$out/stream.json" --csv "$out/stream.csv" >"$out/stream.out"
-cmp "$out/dense.json" "$out/stream.json"
-cmp "$out/dense.csv" "$out/stream.csv"
-cmp "$out/dense.out" "$out/stream.out"
-# The row-streaming JSON writer must clean up its temporary rows file.
-if ls "$out"/*.rows.part >/dev/null 2>&1; then
-  echo "leftover .rows.part temporary after --stream on"; exit 1
+# The row-streaming writers must clean up their temporaries: the JSON
+# rows file and the CSV's `.part` file renamed into place.
+if ls "$out"/*.part >/dev/null 2>&1; then
+  echo "leftover .part temporary after a successful run"; exit 1
 fi
-echo "ok: JSON, CSV and stdout identical with --stream on"
+echo "ok: artifacts written, no .part file left"
 
-echo "== .rows.part cleanup on error exits =="
+echo "== side-file and partial-CSV cleanup on error exits =="
 # --k 0 fails spec validation *inside* the streaming run, after the
-# JSON rows sink (and its temp file) already exist: the scoped guard
-# must remove the temp on that exit-2 path too.
-rc=0; "$cli" "${base[@]}" --stream on --k 0 --json "$out/fail.json" 2>/dev/null || rc=$?
-[ "$rc" -eq 2 ] || { echo "invalid spec with --stream must exit 2, got $rc"; exit 1; }
-if ls "$out"/*.rows.part >/dev/null 2>&1; then
-  echo "leftover .rows.part temporary after an error exit"; exit 1
+# JSON rows sink and the CSV sink (and their temp files) already exist:
+# the scoped guards must remove them on that exit-2 path too, and no
+# partial CSV may appear under the requested name.
+rc=0; "$cli" "${base[@]}" --k 0 --json "$out/fail.json" --csv "$out/out.csv" 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "invalid spec must exit 2, got $rc"; exit 1; }
+if ls "$out"/*.part >/dev/null 2>&1; then
+  echo "leftover .part temporary after an error exit"; exit 1
 fi
-rc=0; "$cli" "${base[@]}" --stream on --pe1-mhz nope --json "$out/fail.json" 2>/dev/null || rc=$?
-[ "$rc" -ne 0 ] || { echo "bad --pe1-mhz with --stream must fail"; exit 1; }
-if ls "$out"/*.rows.part >/dev/null 2>&1; then
-  echo "leftover .rows.part temporary after a parse-error exit"; exit 1
+[ ! -e "$out/out.csv" ] || { echo "a failed sweep left a partial out.csv"; exit 1; }
+rc=0; "$cli" "${base[@]}" --pe1-mhz nope --json "$out/fail.json" --csv "$out/out.csv" 2>/dev/null || rc=$?
+[ "$rc" -ne 0 ] || { echo "bad --pe1-mhz must fail"; exit 1; }
+if ls "$out"/*.part >/dev/null 2>&1; then
+  echo "leftover .part temporary after a parse-error exit"; exit 1
 fi
-echo "ok: error exits leave no .rows.part behind"
+[ ! -e "$out/out.csv" ] || { echo "a failed sweep left a partial out.csv"; exit 1; }
+echo "ok: error exits leave no .part file and no out.csv behind"
 
 echo "== shard x merge == single process =="
 pids=()
@@ -94,8 +94,6 @@ rc=0; "$cli" "${base[@]}" --shard 2/2 --out-wcmt "$out/x.wcmt" 2>/dev/null || rc
 [ "$rc" -eq 2 ] || { echo "out-of-range shard index must exit 2, got $rc"; exit 1; }
 rc=0; "$cli" sweep --merge "$out/s0.wcmt" --shard 0/2 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "--merge with --shard must exit 2, got $rc"; exit 1; }
-rc=0; "$cli" "${base[@]}" --stream on --frontier bisect 2>/dev/null || rc=$?
-[ "$rc" -eq 2 ] || { echo "--stream with --frontier must exit 2, got $rc"; exit 1; }
 echo "ok: exit codes 0/2/3 as documented"
 
 echo "stream smoke: all checks passed"
