@@ -2,12 +2,14 @@
 //! [`FrameDecoder`] from a growing file (tail) or a TCP connection and
 //! route each decoded frame to the session it belongs to.
 //!
-//! A source is a layered rx pipeline: bytes → frames (decoder) →
-//! routed batches keyed by `(source, session)`. Session identity
-//! follows the stream's own `META` frames — each `META` names the
-//! current session of that source, and every `DEMANDS`/`TIMES` frame
-//! that follows belongs to it until the next `META`. One stream can
-//! therefore multiplex any number of interleaved sessions.
+//! A source is a layered rx pipeline: bytes → decoded sections
+//! ([`FrameDecoder::feed_with`], each payload decoded once) → routed
+//! batches keyed by `(source, session)`. Every source runs the same
+//! [`Ingest::step`]. Session identity follows the stream's own `META`
+//! frames — each `META` names the current session of that source, and
+//! every `DEMANDS`/`TIMES` frame that follows belongs to it until the
+//! next `META`. One stream can therefore multiplex any number of
+//! interleaved sessions.
 //!
 //! Tail semantics are where the live path differs from batch decode:
 //! a tail that catches up to a *partial frame* at end-of-file parks
@@ -18,13 +20,12 @@
 //! [`wcm_wire::frame::FRAME_OVERHEAD`] bytes via
 //! [`FrameDecoder::resume_after_end`] before reading on.
 
+use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
-use wcm_wire::frame::{Frame, KIND_DEMANDS, KIND_META, KIND_TIMES};
-use wcm_wire::trace::payload;
-use wcm_wire::{DecodePolicy, FrameDecoder, WireError};
+use wcm_wire::{DecodePolicy, DecodedFrame, FrameDecoder, Section, WireError};
 
 /// One routed batch of decoded events: everything one poll round
 /// produced for one session of one source, in stream order.
@@ -36,59 +37,74 @@ pub struct RoutedBatch {
     pub times: Vec<f64>,
 }
 
-/// Frame router: accumulates one poll round's decoded frames into
+/// Frame router: accumulates one poll round's decoded sections into
 /// per-session batches (keyed by session name; the caller scopes them
-/// by source).
+/// by source). Session names are interned to dense ids once, when a
+/// `META` first names them, so routing a frame is O(1) however many
+/// sessions the stream multiplexes.
 #[derive(Debug, Default)]
-pub struct Router {
+struct Router {
     /// `(session name, batch)` in first-seen order — deterministic
     /// routing order for the shard step.
-    pub batches: Vec<(String, RoutedBatch)>,
-    /// The active session name — sticky *across* polls, because a
-    /// chunk boundary can land anywhere between a `META` and the
-    /// frames that belong to it.
-    current: Option<String>,
-    /// Frames of unknown/ignored kinds this round.
-    pub ignored: u64,
+    batches: Vec<(String, RoutedBatch)>,
+    /// Dense id of every session name the stream has carried.
+    ids: HashMap<String, usize>,
+    /// Per id: the session name and its slot in `batches` this round.
+    sessions: Vec<(String, Option<usize>)>,
+    /// Ids holding a slot this round.
+    open: Vec<usize>,
+    /// The active session — sticky *across* polls, because a chunk
+    /// boundary can land anywhere between a `META` and the frames that
+    /// belong to it. `None` until the first `META`: frames before it
+    /// belong to the source's default session `""`.
+    current: Option<usize>,
 }
 
 impl Router {
-    fn slot(&mut self, name: &str) -> usize {
-        match self.batches.iter().position(|(n, _)| n == name) {
-            Some(i) => i,
+    fn route(&mut self, frame: &DecodedFrame<'_>) {
+        match frame.section {
+            Section::Meta(name) => self.current = Some(self.intern(name)),
+            Section::Demands(vals) => self.active_batch().demands.extend_from_slice(vals),
+            Section::Times(vals) => self.active_batch().times.extend_from_slice(vals),
+            _ => {}
+        }
+    }
+
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.sessions.len();
+        self.ids.insert(name.to_string(), id);
+        self.sessions.push((name.to_string(), None));
+        id
+    }
+
+    /// The batch of the active session, opened on first use this round.
+    fn active_batch(&mut self) -> &mut RoutedBatch {
+        let id = match self.current {
+            Some(id) => id,
             None => {
-                self.batches.push((name.to_string(), RoutedBatch::default()));
-                self.batches.len() - 1
+                let id = self.intern("");
+                self.current = Some(id);
+                id
             }
-        }
+        };
+        let (name, slot) = &mut self.sessions[id];
+        let slot = *slot.get_or_insert_with(|| {
+            self.batches.push((name.clone(), RoutedBatch::default()));
+            self.open.push(id);
+            self.batches.len() - 1
+        });
+        &mut self.batches[slot].1
     }
 
-    /// The batch slot of the active session (frames before any `META`
-    /// belong to the source's default session `""`).
-    fn active_slot(&mut self) -> usize {
-        let name = self.current.clone().unwrap_or_default();
-        self.slot(&name)
-    }
-
-    /// Route one decoded frame.
-    fn route(&mut self, frame: &Frame<'_>) -> Result<(), WireError> {
-        match frame.kind {
-            KIND_META => {
-                self.current = Some(payload::meta(frame)?);
-            }
-            KIND_DEMANDS => {
-                let vals = payload::demands(frame)?;
-                let idx = self.active_slot();
-                self.batches[idx].1.demands.extend_from_slice(&vals);
-            }
-            KIND_TIMES => {
-                let vals = payload::times(frame)?;
-                let idx = self.active_slot();
-                self.batches[idx].1.times.extend_from_slice(&vals);
-            }
-            _ => self.ignored += 1,
+    /// Hand the round's batches over; the active session stays.
+    fn take_batches(&mut self) -> Vec<(String, RoutedBatch)> {
+        for id in self.open.drain(..) {
+            self.sessions[id].1 = None;
         }
-        Ok(())
+        std::mem::take(&mut self.batches)
     }
 }
 
@@ -106,14 +122,72 @@ pub struct Poll {
     pub dead: Option<WireError>,
 }
 
+/// The rx pipeline of one stream, shared by every source: a strict
+/// decoder whose sections are routed to per-session batches.
+#[derive(Debug)]
+pub struct Ingest {
+    dec: FrameDecoder,
+    router: Router,
+}
+
+impl Default for Ingest {
+    fn default() -> Self {
+        Self {
+            dec: FrameDecoder::new(DecodePolicy::Strict),
+            router: Router::default(),
+        }
+    }
+}
+
+impl Ingest {
+    /// Feed the stream's next `bytes`, route every frame they complete,
+    /// and hand over the round's batches. A partial frame at the end of
+    /// `bytes` parks until the next step; a malformed stream reports the
+    /// decoder's strict error in [`Poll::dead`] (and again on every
+    /// later step).
+    pub fn step(&mut self, bytes: &[u8]) -> Poll {
+        let router = &mut self.router;
+        let dead = self.dec.feed_with(bytes, |f| router.route(&f)).err();
+        Poll {
+            batches: router.take_batches(),
+            bytes: bytes.len(),
+            ended: self.dec.ended(),
+            dead,
+        }
+    }
+}
+
+/// Read up to `want` bytes from `src` into the front of `buf` (grown,
+/// zeroed, only when a read wants more than any before it), stopping
+/// early at end of input or when the source would block. Returns the
+/// bytes read and whether the source ended; an I/O error ends the read,
+/// and the bytes read before it still count.
+fn fill(src: &mut impl Read, buf: &mut Vec<u8>, want: usize) -> (usize, io::Result<bool>) {
+    if buf.len() < want {
+        buf.resize(want, 0);
+    }
+    let mut read = 0;
+    while read < want {
+        match src.read(&mut buf[read..want]) {
+            Ok(0) => return (read, Ok(true)),
+            Ok(n) => read += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return (read, Err(e)),
+        }
+    }
+    (read, Ok(false))
+}
+
 /// Live tail of a growing `.wcmt` file.
 #[derive(Debug)]
 pub struct TailSource {
     /// Stable identity used to scope session keys.
     pub id: String,
     path: PathBuf,
-    dec: FrameDecoder,
-    router: Router,
+    ingest: Ingest,
+    /// Reused across polls.
+    buf: Vec<u8>,
     /// Absolute file offset of the next unread byte.
     offset: u64,
     dead: Option<WireError>,
@@ -130,8 +204,8 @@ impl TailSource {
         Ok(Self {
             id: format!("file:{}", path.display()),
             path: path.to_path_buf(),
-            dec: FrameDecoder::new(DecodePolicy::Strict),
-            router: Router::default(),
+            ingest: Ingest::default(),
+            buf: Vec::new(),
             offset: 0,
             dead: None,
         })
@@ -147,58 +221,42 @@ impl TailSource {
     /// I/O errors reading the file. Wire errors mark the source dead
     /// and are reported in the poll, not returned.
     pub fn poll(&mut self, budget: usize, stalled: bool) -> io::Result<Poll> {
-        let mut out = Poll::default();
         if let Some(e) = &self.dead {
-            out.dead = Some(e.clone());
-            return Ok(out);
+            return Ok(Poll {
+                dead: Some(e.clone()),
+                ..Poll::default()
+            });
         }
+        let dec = &mut self.ingest.dec;
         if stalled {
-            out.ended = self.dec.ended();
-            return Ok(out);
+            return Ok(Poll {
+                ended: dec.ended(),
+                ..Poll::default()
+            });
         }
         let len = std::fs::metadata(&self.path)?.len();
-        if self.dec.ended() && len != self.offset {
+        if dec.ended() && len != self.offset {
             // The writer reopened the sealed stream in place: rewind
             // over the truncated end marker and re-read from the seam.
-            if let Some(seam) = self.dec.resume_after_end() {
+            if let Some(seam) = dec.resume_after_end() {
                 self.offset = seam as u64;
             }
         }
+        let mut read = 0;
         if len > self.offset {
             let mut file = std::fs::File::open(&self.path)?;
             file.seek(SeekFrom::Start(self.offset))?;
             let want = usize::try_from(len - self.offset)
                 .unwrap_or(usize::MAX)
                 .min(budget.max(1));
-            let mut buf = vec![0u8; want];
-            let mut read = 0;
-            while read < want {
-                match file.read(&mut buf[read..]) {
-                    Ok(0) => break,
-                    Ok(n) => read += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            buf.truncate(read);
-            self.offset += read as u64;
-            out.bytes = read;
-            let router = &mut self.router;
-            if let Err(e) = self.dec.feed_with(&buf, |f| {
-                // Route errors surface via the decoder's own strict
-                // payload validation on the next feed; record locally.
-                let _ = router.route(f);
-            }) {
-                self.dead = Some(e.clone());
-                out.dead = Some(e);
-            }
-            // The decoder accumulates payloads internally too; the
-            // router already took them, keep the tail flat.
-            self.dec.reset_decoded();
+            let (n, end) = fill(&mut file, &mut self.buf, want);
+            end?;
+            read = n;
+            self.offset += n as u64;
         }
-        out.ended = self.dec.ended();
-        out.batches = std::mem::take(&mut self.router.batches);
-        Ok(out)
+        let poll = self.ingest.step(&self.buf[..read]);
+        self.dead.clone_from(&poll.dead);
+        Ok(poll)
     }
 }
 
@@ -209,14 +267,15 @@ pub struct TcpSource {
     listener: TcpListener,
     conns: Vec<Conn>,
     accepted: u64,
+    /// Read buffer shared by every connection, reused across polls.
+    buf: Vec<u8>,
 }
 
 #[derive(Debug)]
 struct Conn {
     id: String,
     stream: TcpStream,
-    dec: FrameDecoder,
-    router: Router,
+    ingest: Ingest,
     open: bool,
 }
 
@@ -233,6 +292,7 @@ impl TcpSource {
             listener,
             conns: Vec::new(),
             accepted: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -260,8 +320,7 @@ impl TcpSource {
                     self.conns.push(Conn {
                         id: format!("tcp:{peer}#{}", self.accepted),
                         stream,
-                        dec: FrameDecoder::new(DecodePolicy::Strict),
-                        router: Router::default(),
+                        ingest: Ingest::default(),
                         open: true,
                     });
                 }
@@ -271,52 +330,20 @@ impl TcpSource {
         }
         let mut polls = Vec::new();
         for conn in &mut self.conns {
-            if !conn.open {
-                continue;
-            }
-            let mut out = Poll::default();
-            if !stalled {
-                let mut buf = vec![0u8; budget.max(1)];
-                let mut read = 0;
-                loop {
-                    match conn.stream.read(&mut buf[read..]) {
-                        Ok(0) => {
-                            conn.open = false;
-                            break;
-                        }
-                        Ok(n) => {
-                            read += n;
-                            if read == buf.len() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            conn.open = false;
-                            break;
-                        }
-                    }
-                }
-                buf.truncate(read);
-                out.bytes = read;
-                if read > 0 {
-                    let router = &mut conn.router;
-                    if let Err(e) = conn.dec.feed_with(&buf, |f| {
-                        let _ = router.route(f);
-                    }) {
-                        out.dead = Some(e);
-                        conn.open = false;
-                    }
-                    conn.dec.reset_decoded();
-                }
-            }
-            out.ended = conn.dec.ended();
-            if out.ended {
+            let (read, end) = if stalled {
+                (0, Ok(false))
+            } else {
+                fill(&mut conn.stream, &mut self.buf, budget.max(1))
+            };
+            // End of input and read errors both close the peer.
+            if !matches!(end, Ok(false)) {
                 conn.open = false;
             }
-            out.batches = std::mem::take(&mut conn.router.batches);
-            polls.push((conn.id.clone(), out));
+            let poll = conn.ingest.step(&self.buf[..read]);
+            if poll.ended || poll.dead.is_some() {
+                conn.open = false;
+            }
+            polls.push((conn.id.clone(), poll));
         }
         self.conns.retain(|c| c.open);
         Ok(polls)

@@ -59,6 +59,6 @@ pub mod service;
 pub mod session;
 
 pub use config::ServeConfig;
-pub use ingest::{Poll, RoutedBatch, TailSource, TcpSource};
+pub use ingest::{Ingest, Poll, RoutedBatch, TailSource, TcpSource};
 pub use service::{peak_rss_kb, RoundReport, Service, ServiceStats};
 pub use session::{Admission, EnqueueOutcome, SessionState};

@@ -89,6 +89,16 @@ pub struct ServiceStats {
     pub stall_rounds: u64,
 }
 
+/// FNV-1a over `bytes`, continuing from state `h`: hashing a prefix
+/// and then a suffix equals hashing their concatenation.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
 /// The long-lived monitoring service: live `.wcmt` sources demuxed
 /// into per-session spines/monitors/admission, sharded over the
 /// `wcm-par` pool.
@@ -155,17 +165,6 @@ impl Service {
         Ok(bound)
     }
 
-    /// Stable shard of a session key (FNV-1a so placement does not
-    /// depend on the process's hash seed).
-    fn shard_of(&self, key: &str) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
-    }
-
     /// One sweep: poll sources, route, apply shards in parallel, fold
     /// counters.
     ///
@@ -205,10 +204,14 @@ impl Service {
             if let Some(err) = poll.dead {
                 report.dead.push((src.clone(), err));
             }
+            // A session key is `{src}{KEY_SEP}{name}`; its shard is the
+            // key's FNV-1a hash (stable across processes), with the
+            // source prefix hashed once per poll.
+            let prefix = format!("{src}{KEY_SEP}");
+            let seed = fnv1a(0xcbf2_9ce4_8422_2325, prefix.as_bytes());
             for (name, batch) in poll.batches {
-                let key = format!("{src}{KEY_SEP}{name}");
-                let shard = self.shard_of(&key);
-                inboxes[shard].push((key, batch));
+                let shard = fnv1a(seed, name.as_bytes()) % self.shards.len() as u64;
+                inboxes[shard as usize].push(([prefix.as_str(), &name].concat(), batch));
             }
         }
 

@@ -298,12 +298,6 @@ impl<'a> FrameReader<'a> {
         })
     }
 
-    /// Absolute offset of the next unread byte.
-    #[must_use]
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Try to parse a complete frame at `at` without moving the reader.
     fn parse_at(&self, at: usize) -> Result<Frame<'a>, WireError> {
         parse_frame_at(self.bytes, at)

@@ -67,7 +67,8 @@ pub use frame::{Frame, FrameReader, FrameWriter, MAGIC, MAX_FRAME_LEN, VERSION};
 pub use stream::{FrameDecoder, FrameSink};
 pub use sweep::{SweepAdvisoryRec, SweepPointRec, SweepShardMeta, SweepSimRec};
 pub use trace::{
-    decode, encode_demands, encode_timed_trace, encode_times, encode_trace, Decoded, StreamEncoder,
+    decode, encode_demands, encode_timed_trace, encode_times, encode_trace, Decoded, DecodedFrame,
+    Section, StreamEncoder,
 };
 
 /// How the decoder treats damaged frames.

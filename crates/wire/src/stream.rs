@@ -5,28 +5,31 @@
 //!
 //! ## Equivalence contract
 //!
-//! `FrameDecoder` is **bitwise-pinned against [`crate::decode`]**: for
-//! any byte stream, feeding it in arbitrary chunks and calling
-//! [`FrameDecoder::finish`] produces exactly the result `decode()`
-//! produces on the whole buffer — same [`Decoded`] contents, same
-//! [`DecodeReport`] accounting, same error (kind *and* offset) under
-//! [`DecodePolicy::Strict`]. The subtlety is that mid-stream a
-//! truncation is indistinguishable from "more bytes are coming": the
-//! decoder therefore parks on any would-be `Truncated` parse until
-//! either more bytes arrive or `finish()` declares the input complete.
-//! Under [`DecodePolicy::SkipCorrupt`] the same rule governs
-//! resynchronisation — a damage-scan candidate is only accepted once a
-//! complete CRC-valid frame parses there, and a candidate that is merely
-//! incomplete parks the scan rather than being skipped, because the
-//! whole-buffer reader would have accepted it once complete.
+//! `FrameDecoder` is the only `.wcmt` decode loop — [`crate::decode`] is
+//! one [`FrameDecoder::feed`] of the whole buffer plus
+//! [`FrameDecoder::finish`] — and **any chunking equals one feed**: for
+//! any byte stream, feeding it in arbitrary chunks and calling `finish`
+//! produces exactly what a single feed of the concatenation produces —
+//! same [`Decoded`] contents, same [`DecodeReport`] accounting, same
+//! error (kind *and* offset) under [`DecodePolicy::Strict`]. The
+//! subtlety is that mid-stream a truncation is indistinguishable from
+//! "more bytes are coming": the decoder therefore parks on any would-be
+//! `Truncated` parse until either more bytes arrive or `finish()`
+//! declares the input complete. Under [`DecodePolicy::SkipCorrupt`] the
+//! same rule governs resynchronisation — a damage-scan candidate is only
+//! accepted once a complete CRC-valid frame parses there, and a
+//! candidate that is merely incomplete parks the scan rather than being
+//! skipped, because it may turn into the accepted frame once complete.
 //!
 //! ## Memory
 //!
-//! Consumed bytes are compacted away eagerly, so the decoder's buffer
-//! holds at most one incomplete frame (bounded by
-//! [`crate::frame::MAX_FRAME_LEN`] + overhead) regardless of how much
-//! has been streamed through it — reading a multi-gigabyte shard file
-//! in 64 KiB chunks peaks at the largest single frame.
+//! The decoder parses a fed chunk in place and copies only its
+//! unconsumed tail (at most one incomplete frame, or a pending resync
+//! window) into its buffer; only a chunk that arrives while such a tail
+//! is held is appended to it. The buffer therefore stays bounded by the
+//! largest single frame ([`crate::frame::MAX_FRAME_LEN`] + overhead)
+//! regardless of how much has been streamed through it, and a
+//! whole-buffer [`crate::decode`] copies nothing.
 
 use std::io;
 
@@ -34,16 +37,18 @@ use crate::frame::{
     append_frame, parse_frame_at, validate_header, write_header, Frame, FRAME_OVERHEAD, HEADER_LEN,
     KIND_END, SYNC,
 };
-use crate::trace::{DecodeState, Decoded};
+use crate::trace::{Accum, DecodeState, Decoded, DecodedFrame, Section};
 use crate::{DecodePolicy, DecodeReport, WireError, WireErrorKind};
 
 /// Push-based incremental decoder; see the module docs for the
 /// equivalence and memory contracts.
 pub struct FrameDecoder {
     policy: DecodePolicy,
-    /// Unconsumed bytes; `buf[0]` sits at absolute stream offset `base`.
+    /// Unconsumed bytes held between feeds; `buf[0]` sits at absolute
+    /// stream offset `base`.
     buf: Vec<u8>,
-    /// Absolute stream offset of `buf[0]`.
+    /// Absolute stream offset of `buf[0]`, and of the first byte of the
+    /// slice `pump` parses.
     base: usize,
     /// Absolute offset of the next byte to parse (always ≥ `base` except
     /// while a resync scan holds `base` at the scan candidate).
@@ -61,6 +66,8 @@ pub struct FrameDecoder {
     failed: Option<WireError>,
     state: DecodeState,
     report: DecodeReport,
+    /// What [`FrameDecoder::feed`] committed.
+    acc: Accum,
 }
 
 impl FrameDecoder {
@@ -80,28 +87,35 @@ impl FrameDecoder {
             failed: None,
             state: DecodeState::default(),
             report: DecodeReport::default(),
+            acc: Accum::default(),
         }
     }
 
     /// Feed the next chunk of the stream, decoding every frame it
-    /// completes. Chunk boundaries are invisible: a frame may span any
-    /// number of chunks.
+    /// completes and committing it to the [`Decoded`] that
+    /// [`FrameDecoder::finish`] returns. Chunk boundaries are invisible:
+    /// a frame may span any number of chunks.
     ///
     /// # Errors
     ///
     /// Under [`DecodePolicy::Strict`], the first malformed byte — the
-    /// identical error `decode()` reports on the whole stream. The
+    /// identical error a single feed of the whole stream reports. The
     /// failure is sticky. Under [`DecodePolicy::SkipCorrupt`] only an
     /// unusable fixed header fails; all other damage is absorbed into
     /// the report.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), WireError> {
-        self.feed_with(chunk, |_| {})
+        let mut acc = std::mem::take(&mut self.acc);
+        let out = self.feed_with(chunk, |frame| acc.commit(frame));
+        self.acc = acc;
+        out
     }
 
-    /// Like [`FrameDecoder::feed`], additionally yielding every cleanly
-    /// parsed data frame (end markers excluded) to `on_frame` as it
-    /// completes — the hook for consumers that act per frame instead of
-    /// waiting for [`FrameDecoder::finish`].
+    /// Like [`FrameDecoder::feed`], but hands every cleanly decoded data
+    /// frame (end markers excluded) to `on_frame` as it completes and
+    /// accumulates nothing — the hook for consumers that act per frame
+    /// instead of waiting for [`FrameDecoder::finish`]. Framing, damage
+    /// accounting and payload validation (the registry handles, the
+    /// sweep metadata) are exactly those of `feed`.
     ///
     /// # Errors
     ///
@@ -109,7 +123,7 @@ impl FrameDecoder {
     pub fn feed_with(
         &mut self,
         chunk: &[u8],
-        mut on_frame: impl FnMut(&Frame<'_>),
+        mut on_frame: impl FnMut(DecodedFrame<'_>),
     ) -> Result<(), WireError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
@@ -133,15 +147,28 @@ impl FrameDecoder {
             // Only reachable at/after finish-time accounting; defensive.
             return Ok(());
         }
-        self.buf.extend_from_slice(chunk);
-        let out = self.pump(false, &mut on_frame);
-        self.compact();
+        // Parse the chunk in place unless a tail is held; either way
+        // only the unconsumed rest stays buffered. During a resync scan
+        // the candidate, not `pos`, is the first byte still needed.
+        let mut buf = std::mem::take(&mut self.buf);
+        let held = !buf.is_empty();
+        if held {
+            buf.extend_from_slice(chunk);
+        }
+        let out = self.pump(if held { &buf } else { chunk }, false, &mut on_frame);
+        let cut = self.resync.unwrap_or(self.pos).max(self.base) - self.base;
+        self.base += cut;
+        if held {
+            buf.drain(..cut);
+        } else {
+            buf.extend_from_slice(&chunk[cut..]);
+        }
+        self.buf = buf;
         out
     }
 
-    /// Declare the input complete and return what decoded — the same
-    /// value [`crate::decode`] returns for the concatenation of every
-    /// chunk fed.
+    /// Declare the input complete and return what [`FrameDecoder::feed`]
+    /// committed.
     ///
     /// # Errors
     ///
@@ -153,10 +180,9 @@ impl FrameDecoder {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        self.pump(true, &mut |_| {})?;
-        let mut report = self.report;
-        report.events_decoded = self.state.events_decoded();
-        Ok(self.state.into_decoded(report))
+        let (buf, mut acc) = (std::mem::take(&mut self.buf), std::mem::take(&mut self.acc));
+        self.pump(&buf, true, &mut |frame| acc.commit(frame))?;
+        Ok(acc.into_decoded(self.report))
     }
 
     /// Whether a clean end marker has been consumed (the stream is
@@ -205,17 +231,15 @@ impl FrameDecoder {
         Some(restart)
     }
 
-    /// Drop everything the internal decode state has accumulated
-    /// (demands, times, names, summaries, …) while keeping the framing
-    /// position, policy and report intact.
-    ///
-    /// Long-lived consumers that handle every frame themselves via
-    /// [`FrameDecoder::feed_with`] + [`crate::trace::payload`] never
-    /// read the accumulated state, but without this call it grows with
-    /// the stream. After a reset, [`FrameDecoder::finish`] reflects
-    /// only the frames fed since the last reset.
+    /// Drop the sections [`FrameDecoder::feed`] has committed so far
+    /// (demands, times, names, summaries, …), keeping the framing
+    /// position, policy, report and payload validation state (the
+    /// registry's type handles, the sweep metadata flag) intact. After a
+    /// reset, [`FrameDecoder::finish`] returns only the sections fed
+    /// since. [`FrameDecoder::feed_with`] commits nothing, so it needs
+    /// no reset.
     pub fn reset_decoded(&mut self) {
-        self.state.reset();
+        self.acc = Accum::default();
     }
 
     /// Frames decoded so far (progress for long-running feeds).
@@ -237,32 +261,21 @@ impl FrameDecoder {
         e
     }
 
-    /// Drop consumed bytes. During a resync scan the candidate (not
-    /// `pos`) is the first byte still needed; `pos` only feeds the lost
-    /// arithmetic.
-    fn compact(&mut self) {
-        let keep_from = self.resync.unwrap_or(self.pos).max(self.base);
-        let cut = keep_from - self.base;
-        if cut > 0 {
-            self.buf.drain(..cut);
-            self.base = keep_from;
-        }
-    }
-
-    /// Parse as far as the buffered bytes allow. `at_end` means no more
-    /// bytes will ever arrive, so "incomplete" becomes a real outcome
-    /// instead of a reason to park.
+    /// Parse as far as `bytes` (which start at absolute offset `base`)
+    /// allow. `at_end` means no more bytes will ever arrive, so
+    /// "incomplete" becomes a real outcome instead of a reason to park.
     fn pump(
         &mut self,
+        bytes: &[u8],
         at_end: bool,
-        on_frame: &mut impl FnMut(&Frame<'_>),
+        on_frame: &mut impl FnMut(DecodedFrame<'_>),
     ) -> Result<(), WireError> {
         if !self.header_ok {
             debug_assert_eq!(self.base, 0);
-            if self.buf.len() < HEADER_LEN && !at_end {
+            if bytes.len() < HEADER_LEN && !at_end {
                 return Ok(());
             }
-            if let Err(e) = validate_header(&self.buf) {
+            if let Err(e) = validate_header(bytes) {
                 self.failed = Some(e.clone());
                 return Err(e);
             }
@@ -274,13 +287,13 @@ impl FrameDecoder {
         }
         loop {
             if let Some(candidate) = self.resync {
-                match self.scan(candidate, at_end) {
+                match self.scan(bytes, candidate, at_end) {
                     Scan::Park | Scan::Done => return Ok(()),
                     Scan::Resume => {}
                 }
             }
             let rel = self.pos - self.base;
-            if rel == self.buf.len() {
+            if rel == bytes.len() {
                 if !at_end {
                     return Ok(());
                 }
@@ -296,7 +309,7 @@ impl FrameDecoder {
                     }
                 };
             }
-            match parse_frame_at(&self.buf, rel) {
+            match parse_frame_at(bytes, rel) {
                 Ok(frame) => {
                     let frame = Frame {
                         start: frame.start + self.base,
@@ -307,7 +320,7 @@ impl FrameDecoder {
                     if frame.kind == KIND_END {
                         self.ended = Some(self.pos);
                         self.report.clean_end = true;
-                        let trailing = (self.base + self.buf.len()) - self.pos;
+                        let trailing = (self.base + bytes.len()) - self.pos;
                         match self.policy {
                             DecodePolicy::Strict if trailing > 0 => {
                                 return Err(self.fail(self.pos, WireErrorKind::TrailingBytes));
@@ -315,18 +328,24 @@ impl FrameDecoder {
                             DecodePolicy::Strict => {}
                             DecodePolicy::SkipCorrupt => {
                                 self.report.bytes_lost += trailing as u64;
-                                self.pos = self.base + self.buf.len();
+                                self.pos = self.base + bytes.len();
                             }
                         }
                         return Ok(());
                     }
                     match self.state.apply(&frame) {
-                        Ok(known) => {
+                        Ok(section) => {
                             self.report.frames_read += 1;
-                            if !known {
+                            if matches!(section, Section::Unknown) {
                                 self.report.frames_unknown += 1;
                             }
-                            on_frame(&frame);
+                            self.report.events_decoded += section.events() as u64;
+                            on_frame(DecodedFrame {
+                                kind: frame.kind,
+                                start: frame.start,
+                                wire_len: frame.wire_len,
+                                section,
+                            });
                         }
                         Err(e) => match self.policy {
                             DecodePolicy::Strict => {
@@ -347,9 +366,7 @@ impl FrameDecoder {
                 }
                 Err(e) => match self.policy {
                     DecodePolicy::Strict => {
-                        let e = WireError::new(e.offset + self.base, e.kind);
-                        self.failed = Some(e.clone());
-                        return Err(e);
+                        return Err(self.fail(e.offset + self.base, e.kind));
                     }
                     DecodePolicy::SkipCorrupt => {
                         self.resync = Some(self.pos + 1);
@@ -359,14 +376,13 @@ impl FrameDecoder {
         }
     }
 
-    /// Advance the lenient damage scan from `candidate`. Mirrors
-    /// `FrameReader::next_lenient`'s resync loop, split across feeds:
-    /// a candidate that parses as *incomplete* parks the scan (it may
-    /// become the accepted frame), anything else moves on.
-    fn scan(&mut self, mut candidate: usize, at_end: bool) -> Scan {
+    /// Advance the lenient damage scan from `candidate`, split across
+    /// feeds: a candidate that parses as *incomplete* parks the scan (it
+    /// may become the accepted frame), anything else moves on.
+    fn scan(&mut self, bytes: &[u8], mut candidate: usize, at_end: bool) -> Scan {
         loop {
             let rel = candidate - self.base;
-            if rel >= self.buf.len() {
+            if rel >= bytes.len() {
                 if !at_end {
                     self.resync = Some(candidate);
                     return Scan::Park;
@@ -378,8 +394,8 @@ impl FrameDecoder {
                 self.exhausted = true;
                 return Scan::Done;
             }
-            if self.buf[rel] == SYNC {
-                match parse_frame_at(&self.buf, rel) {
+            if bytes[rel] == SYNC {
+                match parse_frame_at(bytes, rel) {
                     Ok(_) => {
                         self.report.frames_skipped += 1;
                         self.report.bytes_lost += (candidate - self.pos) as u64;

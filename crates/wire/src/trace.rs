@@ -12,12 +12,12 @@
 //! poisons the frames after it.
 
 use crate::frame::{
-    Frame, FrameReader, FrameWriter, Step, KIND_APP_BASE, KIND_DEMANDS, KIND_END, KIND_EVENTS,
-    KIND_META, KIND_REGISTRY, KIND_SUMMARY, KIND_SWEEP_META, KIND_SWEEP_POINTS, KIND_TIMES,
+    Frame, FrameWriter, KIND_APP_BASE, KIND_DEMANDS, KIND_END, KIND_EVENTS, KIND_META,
+    KIND_REGISTRY, KIND_SUMMARY, KIND_SWEEP_META, KIND_SWEEP_POINTS, KIND_TIMES,
 };
 use crate::sweep::{SweepPointRec, SweepShardMeta};
 use crate::varint::{f64_to_key, key_to_f64, put_str, put_varint, put_zigzag, Cursor};
-use crate::{summary, sweep, DecodePolicy, DecodeReport, WireError, WireErrorKind};
+use crate::{summary, sweep, DecodePolicy, DecodeReport, FrameDecoder, WireError, WireErrorKind};
 use wcm_events::summary::CurveSummary;
 use wcm_events::{Cycles, EventType, ExecutionInterval, TimedTrace, Trace, TypeRegistry};
 
@@ -271,244 +271,236 @@ impl Decoded {
     }
 }
 
-/// Accumulates decoded sections until the whole stream has been walked.
+/// One frame's decoded payload, as [`crate::FrameDecoder::feed_with`]
+/// hands it over. Slices borrow the input or the decoder's scratch
+/// buffers and are valid for the callback only; the rarer sections are
+/// owned so [`crate::FrameDecoder::feed`] can move them into its
+/// [`Decoded`].
+#[derive(Debug)]
+pub enum Section<'a> {
+    /// A [`KIND_META`] name.
+    Meta(&'a str),
+    /// A [`KIND_DEMANDS`] chunk.
+    Demands(&'a [u64]),
+    /// A [`KIND_TIMES`] chunk (finite values).
+    Times(&'a [f64]),
+    /// The stream's one [`KIND_REGISTRY`].
+    Registry(TypeRegistry),
+    /// A [`KIND_EVENTS`] chunk, validated against the registry.
+    Events(&'a [EventType]),
+    /// A [`KIND_SUMMARY`] blob.
+    Summary(CurveSummary),
+    /// The stream's one [`KIND_SWEEP_META`].
+    SweepMeta(SweepShardMeta),
+    /// A [`KIND_SWEEP_POINTS`] chunk.
+    SweepPoints(Vec<SweepPointRec>),
+    /// An application frame's opaque payload (`0x40..=0x7D`).
+    App(&'a [u8]),
+    /// A CRC-valid frame of a kind this reader does not understand.
+    Unknown,
+}
+
+impl Section<'_> {
+    /// Events this section carries (demands, timestamps, typed events).
+    pub(crate) fn events(&self) -> usize {
+        match self {
+            Section::Demands(v) => v.len(),
+            Section::Times(v) => v.len(),
+            Section::Events(v) => v.len(),
+            _ => 0,
+        }
+    }
+}
+
+/// One cleanly decoded data frame: where it sat on the wire and what its
+/// payload decoded to.
+#[derive(Debug)]
+pub struct DecodedFrame<'a> {
+    /// Frame kind byte.
+    pub kind: u8,
+    /// Absolute offset of the frame's sync byte.
+    pub start: usize,
+    /// Total on-wire size of the frame including overhead.
+    pub wire_len: usize,
+    /// The decoded payload.
+    pub section: Section<'a>,
+}
+
+/// The payload codec plus the validation state it needs across frames:
+/// the registry's type handles (events index into them) and whether the
+/// sweep metadata was seen. Decoded values land in reused scratch
+/// buffers, so a frame costs no allocation once they have grown.
 #[derive(Default)]
 pub(crate) struct DecodeState {
-    name: Option<String>,
+    handles: Option<Vec<EventType>>,
+    sweep_meta_seen: bool,
     demands: Vec<u64>,
     times: Vec<f64>,
-    registry: Option<TypeRegistry>,
-    handles: Vec<EventType>,
     events: Vec<EventType>,
-    summaries: Vec<CurveSummary>,
-    app_frames: Vec<(u8, Vec<u8>)>,
-    sweep_meta: Option<SweepShardMeta>,
-    sweep_points: Vec<SweepPointRec>,
-    events_decoded: u64,
 }
 
 impl DecodeState {
-    /// Decode one frame's payload and commit it. All-or-nothing: the
-    /// payload is staged in temporaries, so a frame that fails midway
-    /// leaves the state untouched (what SkipCorrupt relies on).
-    /// Returns `true` for known kinds, `false` for unknown ones.
-    pub(crate) fn apply(&mut self, frame: &Frame<'_>) -> Result<bool, WireError> {
+    /// Decode one frame's payload. All-or-nothing: a frame that fails
+    /// midway leaves the validation state untouched (what SkipCorrupt
+    /// relies on).
+    pub(crate) fn apply<'a>(&'a mut self, frame: &Frame<'a>) -> Result<Section<'a>, WireError> {
         let mut c = Cursor::new(frame.payload, frame.payload_offset);
-        match frame.kind {
-            KIND_META => {
-                let name = c.str()?.to_string();
-                c.finish()?;
-                self.name = Some(name);
-            }
-            KIND_DEMANDS => {
-                let vals = decode_demands_cursor(&mut c)?;
-                c.finish()?;
-                self.events_decoded += vals.len() as u64;
-                self.demands.extend_from_slice(&vals);
-            }
-            KIND_TIMES => {
-                let vals = decode_times_cursor(&mut c)?;
-                c.finish()?;
-                self.events_decoded += vals.len() as u64;
-                self.times.extend_from_slice(&vals);
-            }
+        let section = match frame.kind {
+            KIND_META => Section::Meta(c.str()?),
+            KIND_DEMANDS => Section::Demands(read_demands(&mut c, &mut self.demands)?),
+            KIND_TIMES => Section::Times(read_times(&mut c, &mut self.times)?),
             KIND_REGISTRY => {
-                if self.registry.is_some() {
+                if self.handles.is_some() {
                     return Err(WireError::new(
                         frame.start,
                         WireErrorKind::DuplicateRegistry,
                     ));
                 }
-                let n = c.count(3)?;
-                let mut reg = TypeRegistry::new();
-                for _ in 0..n {
-                    let at = c.offset();
-                    let name = c.str()?;
-                    let bcet = c.varint()?;
-                    let wcet = c.varint()?;
-                    let interval = ExecutionInterval::new(Cycles(bcet), Cycles(wcet))
-                        .map_err(|_| WireError::new(at, WireErrorKind::BadRegistry))?;
-                    reg.register(name, interval)
-                        .map_err(|_| WireError::new(at, WireErrorKind::BadRegistry))?;
-                }
-                c.finish()?;
-                self.handles = reg.iter().map(|(h, _, _)| h).collect();
-                self.registry = Some(reg);
+                Section::Registry(read_registry(&mut c)?)
             }
             KIND_EVENTS => {
-                let Some(_) = self.registry.as_ref() else {
+                let Some(handles) = &self.handles else {
                     return Err(WireError::new(frame.start, WireErrorKind::UnknownType));
                 };
-                let n = c.count(1)?;
-                let mut vals = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let at = c.offset();
-                    let idx = c.varint()?;
-                    let handle = usize::try_from(idx)
-                        .ok()
-                        .and_then(|i| self.handles.get(i))
-                        .ok_or(WireError::new(at, WireErrorKind::UnknownType))?;
-                    vals.push(*handle);
-                }
-                c.finish()?;
-                self.events_decoded += vals.len() as u64;
-                self.events.extend_from_slice(&vals);
+                Section::Events(read_events(&mut c, handles, &mut self.events)?)
             }
-            KIND_SUMMARY => {
-                let s = summary::decode_payload(&mut c)?;
-                c.finish()?;
-                self.summaries.push(s);
-            }
+            KIND_SUMMARY => Section::Summary(summary::decode_payload(&mut c)?),
             KIND_SWEEP_META => {
-                if self.sweep_meta.is_some() {
+                if self.sweep_meta_seen {
                     return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
                 }
-                let meta = sweep::decode_sweep_meta(&mut c, frame.start)?;
-                c.finish()?;
-                self.sweep_meta = Some(meta);
+                Section::SweepMeta(sweep::decode_sweep_meta(&mut c, frame.start)?)
             }
             KIND_SWEEP_POINTS => {
-                if self.sweep_meta.is_none() {
+                if !self.sweep_meta_seen {
                     return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
                 }
-                let recs = sweep::decode_sweep_points(&mut c)?;
-                c.finish()?;
-                self.sweep_points.extend_from_slice(&recs);
+                Section::SweepPoints(sweep::decode_sweep_points(&mut c)?)
             }
-            k if (KIND_APP_BASE..KIND_END).contains(&k) => {
-                self.app_frames.push((k, frame.payload.to_vec()));
+            k if (KIND_APP_BASE..KIND_END).contains(&k) => return Ok(Section::App(frame.payload)),
+            _ => return Ok(Section::Unknown),
+        };
+        c.finish()?;
+        match &section {
+            Section::Registry(reg) => {
+                self.handles = Some(reg.iter().map(|(h, _, _)| h).collect());
             }
-            _ => return Ok(false),
+            Section::SweepMeta(_) => self.sweep_meta_seen = true,
+            _ => {}
         }
-        Ok(true)
+        Ok(section)
     }
+}
 
-    pub(crate) fn events_decoded(&self) -> u64 {
-        self.events_decoded
+/// Varint demand values from a [`KIND_DEMANDS`] payload cursor into
+/// `out` (caller runs `finish`).
+fn read_demands<'a>(c: &mut Cursor<'_>, out: &'a mut Vec<u64>) -> Result<&'a [u64], WireError> {
+    let n = c.count(1)?;
+    out.clear();
+    for _ in 0..n {
+        out.push(c.varint()?);
     }
+    Ok(out)
+}
 
-    /// Drop everything accumulated so far (name, demands, times,
-    /// events, summaries, …) while keeping nothing of the registry
-    /// either — the flat-memory reset behind
-    /// [`crate::FrameDecoder::reset_decoded`].
-    pub(crate) fn reset(&mut self) {
-        *self = Self::default();
+/// Delta-coded timestamps from a [`KIND_TIMES`] payload cursor into
+/// `out` (caller runs `finish`).
+fn read_times<'a>(c: &mut Cursor<'_>, out: &'a mut Vec<f64>) -> Result<&'a [f64], WireError> {
+    let n = c.count(1)?;
+    out.clear();
+    let mut key = 0u64;
+    for i in 0..n {
+        let at = c.offset();
+        key = if i == 0 {
+            c.varint()?
+        } else {
+            key.wrapping_add(c.zigzag()? as u64)
+        };
+        let t = key_to_f64(key);
+        if !t.is_finite() {
+            return Err(WireError::new(at, WireErrorKind::NonFinite));
+        }
+        out.push(t);
+    }
+    Ok(out)
+}
+
+/// A [`KIND_REGISTRY`] payload (caller runs `finish`).
+fn read_registry(c: &mut Cursor<'_>) -> Result<TypeRegistry, WireError> {
+    let n = c.count(3)?;
+    let mut reg = TypeRegistry::new();
+    for _ in 0..n {
+        let at = c.offset();
+        let name = c.str()?;
+        let bcet = c.varint()?;
+        let wcet = c.varint()?;
+        let interval = ExecutionInterval::new(Cycles(bcet), Cycles(wcet))
+            .map_err(|_| WireError::new(at, WireErrorKind::BadRegistry))?;
+        reg.register(name, interval)
+            .map_err(|_| WireError::new(at, WireErrorKind::BadRegistry))?;
+    }
+    Ok(reg)
+}
+
+/// Registry indices from a [`KIND_EVENTS`] payload into `out` (caller
+/// runs `finish`).
+fn read_events<'a>(
+    c: &mut Cursor<'_>,
+    handles: &[EventType],
+    out: &'a mut Vec<EventType>,
+) -> Result<&'a [EventType], WireError> {
+    let n = c.count(1)?;
+    out.clear();
+    for _ in 0..n {
+        let at = c.offset();
+        let idx = c.varint()?;
+        let handle = usize::try_from(idx)
+            .ok()
+            .and_then(|i| handles.get(i))
+            .ok_or(WireError::new(at, WireErrorKind::UnknownType))?;
+        out.push(*handle);
+    }
+    Ok(out)
+}
+
+/// What [`crate::FrameDecoder::feed`] commits sections into until
+/// [`crate::FrameDecoder::finish`] returns it.
+#[derive(Default)]
+pub(crate) struct Accum {
+    /// Every field but the trace, which needs the whole event list.
+    decoded: Decoded,
+    registry: Option<TypeRegistry>,
+    events: Vec<EventType>,
+}
+
+impl Accum {
+    pub(crate) fn commit(&mut self, frame: DecodedFrame<'_>) {
+        let d = &mut self.decoded;
+        match frame.section {
+            Section::Meta(name) => d.name = Some(name.to_string()),
+            Section::Demands(v) => d.demands.extend_from_slice(v),
+            Section::Times(v) => d.times.extend_from_slice(v),
+            Section::Registry(reg) => self.registry = Some(reg),
+            Section::Events(v) => self.events.extend_from_slice(v),
+            Section::Summary(s) => d.summaries.push(s),
+            Section::SweepMeta(meta) => d.sweep_meta = Some(meta),
+            Section::SweepPoints(recs) => d.sweep_points.extend(recs),
+            Section::App(payload) => d.app_frames.push((frame.kind, payload.to_vec())),
+            Section::Unknown => {}
+        }
     }
 
     pub(crate) fn into_decoded(self, report: DecodeReport) -> Decoded {
-        let trace = self
-            .registry
-            .map(|reg| Trace::new(reg, self.events));
         Decoded {
-            name: self.name,
-            demands: self.demands,
-            times: self.times,
-            trace,
-            summaries: self.summaries,
-            app_frames: self.app_frames,
-            sweep_meta: self.sweep_meta,
-            sweep_points: self.sweep_points,
+            trace: self.registry.map(|reg| Trace::new(reg, self.events)),
             report,
+            ..self.decoded
         }
     }
 }
 
-/// Varint demand values from a [`KIND_DEMANDS`] payload cursor (caller
-/// runs `finish`).
-fn decode_demands_cursor(c: &mut Cursor<'_>) -> Result<Vec<u64>, WireError> {
-    let n = c.count(1)?;
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(c.varint()?);
-    }
-    Ok(vals)
-}
-
-/// Delta-coded timestamps from a [`KIND_TIMES`] payload cursor (caller
-/// runs `finish`).
-fn decode_times_cursor(c: &mut Cursor<'_>) -> Result<Vec<f64>, WireError> {
-    let n = c.count(1)?;
-    let mut vals = Vec::with_capacity(n);
-    if n > 0 {
-        let at = c.offset();
-        let mut key = c.varint()?;
-        let first = key_to_f64(key);
-        if !first.is_finite() {
-            return Err(WireError::new(at, WireErrorKind::NonFinite));
-        }
-        vals.push(first);
-        for _ in 1..n {
-            let at = c.offset();
-            let delta = c.zigzag()?;
-            key = key.wrapping_add(delta as u64);
-            let t = key_to_f64(key);
-            if !t.is_finite() {
-                return Err(WireError::new(at, WireErrorKind::NonFinite));
-            }
-            vals.push(t);
-        }
-    }
-    Ok(vals)
-}
-
-/// Standalone per-frame payload decoders, for consumers that act on
-/// frames as they arrive ([`crate::FrameDecoder::feed_with`] on a live
-/// tail or socket) instead of accumulating a whole [`Decoded`]. Each
-/// checks the frame kind and decodes exactly the bytes
-/// [`DecodeState::apply`] would, with the same error offsets.
-pub mod payload {
-    use super::*;
-
-    /// The stream/session name carried by a [`KIND_META`] frame.
-    ///
-    /// # Errors
-    ///
-    /// [`WireErrorKind::BadPayload`] on a kind mismatch, otherwise the
-    /// payload codec's own errors.
-    pub fn meta(frame: &Frame<'_>) -> Result<String, WireError> {
-        if frame.kind != KIND_META {
-            return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
-        }
-        let mut c = Cursor::new(frame.payload, frame.payload_offset);
-        let name = c.str()?.to_string();
-        c.finish()?;
-        Ok(name)
-    }
-
-    /// The demand values carried by a [`KIND_DEMANDS`] frame.
-    ///
-    /// # Errors
-    ///
-    /// [`WireErrorKind::BadPayload`] on a kind mismatch, otherwise the
-    /// payload codec's own errors.
-    pub fn demands(frame: &Frame<'_>) -> Result<Vec<u64>, WireError> {
-        if frame.kind != KIND_DEMANDS {
-            return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
-        }
-        let mut c = Cursor::new(frame.payload, frame.payload_offset);
-        let vals = decode_demands_cursor(&mut c)?;
-        c.finish()?;
-        Ok(vals)
-    }
-
-    /// The timestamps carried by a [`KIND_TIMES`] frame.
-    ///
-    /// # Errors
-    ///
-    /// [`WireErrorKind::BadPayload`] on a kind mismatch, otherwise the
-    /// payload codec's own errors.
-    pub fn times(frame: &Frame<'_>) -> Result<Vec<f64>, WireError> {
-        if frame.kind != KIND_TIMES {
-            return Err(WireError::new(frame.start, WireErrorKind::BadPayload));
-        }
-        let mut c = Cursor::new(frame.payload, frame.payload_offset);
-        let vals = decode_times_cursor(&mut c)?;
-        c.finish()?;
-        Ok(vals)
-    }
-}
-
-/// Decode a whole stream under `policy`.
+/// Decode a whole stream under `policy`: one [`crate::FrameDecoder`]
+/// feed of `bytes`, then `finish`.
 ///
 /// # Errors
 ///
@@ -517,58 +509,9 @@ pub mod payload {
 /// (bad magic/version/flags — there is nothing to resynchronise onto);
 /// all other damage is absorbed into [`Decoded::report`].
 pub fn decode(bytes: &[u8], policy: DecodePolicy) -> Result<Decoded, WireError> {
-    let mut reader = FrameReader::new(bytes)?;
-    let mut state = DecodeState::default();
-    let mut report = DecodeReport::default();
-    match policy {
-        DecodePolicy::Strict => loop {
-            match reader.next_strict()? {
-                None => {
-                    report.clean_end = true;
-                    break;
-                }
-                Some(frame) => {
-                    let known = state.apply(&frame)?;
-                    report.frames_read += 1;
-                    if !known {
-                        report.frames_unknown += 1;
-                    }
-                }
-            }
-        },
-        DecodePolicy::SkipCorrupt => loop {
-            match reader.next_lenient() {
-                Step::Frame(frame) => match state.apply(&frame) {
-                    Ok(known) => {
-                        report.frames_read += 1;
-                        if !known {
-                            report.frames_unknown += 1;
-                        }
-                    }
-                    Err(_) => {
-                        report.frames_skipped += 1;
-                        report.bytes_lost += frame.wire_len as u64;
-                    }
-                },
-                Step::Damage { lost } => {
-                    report.frames_skipped += 1;
-                    report.bytes_lost += lost as u64;
-                }
-                Step::End { trailing } => {
-                    report.clean_end = true;
-                    report.bytes_lost += trailing as u64;
-                    break;
-                }
-                Step::Eof { lost } => {
-                    report.truncated = true;
-                    report.bytes_lost += lost as u64;
-                    break;
-                }
-            }
-        },
-    }
-    report.events_decoded = state.events_decoded;
-    Ok(state.into_decoded(report))
+    let mut dec = FrameDecoder::new(policy);
+    dec.feed(bytes)?;
+    dec.finish()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Fast benchmark + lint smoke: a clean clippy run, the curve- and sweep-
-# related criterion benches in quick mode, the bench_curves/bench_sweep
-# summaries that write BENCH_curves.json / BENCH_sweep.json, the
+# related criterion benches in quick mode, the bench_curves/bench_sweep/
+# bench_obs/bench_serve summaries that write their BENCH_*.json, the
 # sweep-engine contract smoke, and a perf-regression guard over the
 # freshly written JSONs. Minutes, not hours — meant for every PR, while
 # `cargo bench --workspace` remains the full run.
@@ -27,10 +27,11 @@ cargo bench -p wcm-bench --bench obs -- "${quick[@]}"
 cargo run --release -q -p wcm-bench --bin bench_curves
 cargo run --release -q -p wcm-bench --bin bench_sweep
 cargo run --release -q -p wcm-bench --bin bench_obs
+cargo run --release -q -p wcm-bench --bin bench_serve
 
 scripts/sweep_smoke.sh
 
-echo "== perf-regression guard (BENCH_curves.json / BENCH_sweep.json) =="
+echo "== perf-regression guard (BENCH_curves / BENCH_sweep / BENCH_obs / BENCH_serve .json) =="
 # check <label> <measured> <op> <threshold> — float compare via awk.
 check() {
     local label=$1 value=$2 op=$3 bound=$4
@@ -110,5 +111,13 @@ check "frontier.bisect_fraction"      "$(jq .frontier.bisect_fraction BENCH_swee
 # 0-2.6% with a ~1% true floor — see EXPERIMENTS.md §E12). The disabled
 # gate is pinned separately by the byte-identity checks in obs_smoke.sh.
 check "obs.recorder_overhead"         "$(jq .enabled.overhead_median_ratio BENCH_obs.json)" "<=" 1.03
+
+# Serve ingest scaling: the per-event cost of replaying 20k sessions x
+# 24 events through `Service` must stay within 1.5x of the cost at 5k
+# sessions (medians of 5 interleaved runs each, same process). Routing
+# each frame in O(1) keeps it at 1.2-1.4 — the larger stream spreads a
+# session over several poll rounds, so it pays more batches per event;
+# a per-frame scan over the open sessions measured about 3.7.
+check "serve.ingest_ratio_20k_vs_5k"  "$(jq .ingest.ratio_20k_vs_5k BENCH_serve.json)" "<=" 1.5
 
 echo "perf guard: all checks passed"
