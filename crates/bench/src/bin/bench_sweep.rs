@@ -1,7 +1,7 @@
 //! Bench summary for the design-space sweep engine and the simulator
 //! hot-path rewrite, written to `BENCH_sweep.json`.
 //!
-//! Four measurements, interleaved best-of-`REPS`:
+//! Five measurements, interleaved best-of-`REPS`:
 //!
 //! * **sweep points/s** — the full 14-clip grid, sequential without
 //!   pruning vs threaded with the analytic pre-pass (the shipping
@@ -21,6 +21,10 @@
 //!   into a stat-only sink, at a ~100k-cell grid and at 10× that: the
 //!   streaming peak must stay flat while the materializing peak grows
 //!   with the grid (guarded by `scripts/bench_smoke.sh`).
+//! * **overflow policies** — ns/event of `DropByPriority` over `Reject`
+//!   on one overflowing point of the same clip (`drop_priority_over_reject`,
+//!   guarded by `scripts/bench_smoke.sh`): the priority victim scan must
+//!   not walk the whole FIFO once it has found a B macroblock.
 //! * **verdict equality** — asserts prune=on and prune=off agree on
 //!   every overflow verdict before any number is written.
 //!
@@ -42,6 +46,12 @@ use wcm_sim::{
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const REPS: usize = 5;
+
+/// PE2 clock and FIFO capacity (the sweep grid's smallest) of the
+/// moderately overflowing point on which the two dropping policies are
+/// timed.
+const OVERFLOW_PE2_HZ: f64 = 150.0e6;
+const OVERFLOW_CAPACITY: u64 = 400;
 
 /// Stat-only sink for the streaming memory measurement: consumes each
 /// record without retaining anything, so the run's peak is the
@@ -333,6 +343,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let legacy_ns = sim.best(0) / events * 1e9;
     let hot_ns = sim.best(1) / events * 1e9;
 
+    // Overflow policies on one overflowing point of the same clip: each
+    // arrival that finds the FIFO full costs Reject one O(1) drop, and
+    // DropByPriority's victim scan must stop at the first B macroblock.
+    let overflow_cfg = PipelineConfig {
+        pe2_hz: OVERFLOW_PE2_HZ,
+        ..cfg
+    };
+    let policy_run = |policy, scratch: &mut SimScratch| {
+        simulate_faulted(
+            &stream,
+            &overflow_cfg,
+            &FifoConfig::bounded(OVERFLOW_CAPACITY, policy),
+            SourceModel::Cbr,
+            frame_period,
+            None,
+            scratch,
+        )
+        .unwrap()
+    };
+    for policy in [OverflowPolicy::Reject, OverflowPolicy::DropByPriority] {
+        assert!(
+            policy_run(policy, &mut scratch).dropped > 0,
+            "{policy:?} point must overflow"
+        );
+    }
+    let mut drop_scratch = SimScratch::new();
+    let overflow = measure([
+        &mut || time_once(|| policy_run(OverflowPolicy::Reject, &mut scratch)),
+        &mut || time_once(|| policy_run(OverflowPolicy::DropByPriority, &mut drop_scratch)),
+    ]);
+    let reject_ns = overflow.best(0) / events * 1e9;
+    let drop_priority_ns = overflow.best(1) / events * 1e9;
+
     // Streaming result pipeline: allocator peak of materializing vs
     // streaming, at a ~100k-cell grid and at 10× that. The grid grows
     // along the policy axis (duplicated entries): the analytic table
@@ -430,6 +473,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \x20   \"hot_path_ns_per_event\": {hot_ns:.2},\n\
          \x20   \"speedup\": {:.1}\n\
          \x20 }},\n\
+         \x20 \"overflow_policies\": {{\n\
+         \x20   \"pe2_hz\": {OVERFLOW_PE2_HZ:.0},\n\
+         \x20   \"capacity\": {OVERFLOW_CAPACITY},\n\
+         \x20   \"reject_ns_per_event\": {reject_ns:.2},\n\
+         \x20   \"drop_priority_ns_per_event\": {drop_priority_ns:.2},\n\
+         \x20   \"drop_priority_over_reject\": {:.3}\n\
+         \x20 }},\n\
          \x20 \"stream\": {{\n\
          \x20   \"grid_points_1x\": {mat_n_1x},\n\
          \x20   \"grid_points_10x\": {mat_n_10x},\n\
@@ -454,6 +504,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bisect_frontier.evaluated_cells,
         frontier_times.speedup(0, 1),
         sim.speedup(0, 1),
+        overflow.speedup(1, 0),
         mat_1x.peak_bytes,
         mat_10x.peak_bytes,
         stream_1x.peak_bytes,

@@ -100,6 +100,29 @@ pub fn arrival_upper_with(
 ) -> Result<StepCurve, WorkloadError> {
     let times = trace.times();
     let spans = min_spans_with(&times, k_max, mode, par)?;
+    arrival_upper_from_spans(&spans, trace.len(), trace.duration())
+}
+
+/// The staircase of [`arrival_upper`] from precomputed minimal spans
+/// `d(1..=k_max)` (index 0 ↦ `k = 1`, non-decreasing) of a timed trace
+/// with `events` events over `duration` seconds: `ᾱ` jumps to `k` at
+/// `Δ = d(k)`, the horizon is `d(k_max)`, and the tail rate is
+/// `events / duration`.
+///
+/// This is the step construction alone, for callers that keep the spans
+/// up to date incrementally (e.g. a
+/// [`SpanWindow`](wcm_events::window::SpanWindow)).
+///
+/// # Errors
+///
+/// Returns [`WorkloadError::Empty`] for empty `spans` and propagates
+/// staircase validation errors.
+pub fn arrival_upper_from_spans(
+    spans: &[f64],
+    events: usize,
+    duration: f64,
+) -> Result<StepCurve, WorkloadError> {
+    let &horizon = spans.last().ok_or(WorkloadError::Empty)?;
     // spans is non-decreasing; build steps at strictly increasing Δ.
     let mut steps: Vec<(f64, u64)> = Vec::with_capacity(spans.len());
     for (i, &d) in spans.iter().enumerate() {
@@ -112,10 +135,8 @@ pub fn arrival_upper_with(
             _ => steps.push((d, k)),
         }
     }
-    let horizon = *spans.last().expect("validated non-empty");
-    let duration = trace.duration();
     let tail_rate = if duration > 0.0 {
-        trace.len() as f64 / duration
+        events as f64 / duration
     } else {
         0.0
     };

@@ -33,6 +33,9 @@
 use crate::EventError;
 pub use wcm_par::Parallelism;
 
+mod span_window;
+pub use span_window::SpanWindow;
+
 /// How to trade effort against tightness in whole-curve window analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -562,14 +565,33 @@ fn span(times: &[f64], k: usize, maximize: bool) -> Option<f64> {
     if k <= 1 {
         return Some(0.0);
     }
+    Some(span_over(times, k, 0..times.len() - k + 1, maximize))
+}
+
+/// The one span kernel: the extreme of `t[s+k−1] − t[s]` over the window
+/// starts `s ∈ starts` (`k ≥ 2`; `starts.end + k − 1 ≤ times.len()`), or the
+/// fold's identity (`±∞`) for an empty range. The whole-slice scans and
+/// [`SpanWindow`]'s block minima and partial scans all go through it.
+///
+/// A zero result comes out as `+0.0` even where a span is `−0.0 − (+0.0)`:
+/// `min` and `max` may return either zero when both meet, which would make
+/// the result depend on fold order, and the incremental window folds in a
+/// different order from the whole-slice scan. Normalizing the fold's result
+/// is enough, since every result the window combines with `min` is then
+/// normalized too; normalizing each difference instead slowed the scan by
+/// about 7 %.
+fn span_over(times: &[f64], k: usize, starts: std::ops::Range<usize>, maximize: bool) -> f64 {
+    let lo = &times[starts.clone()];
+    let hi = &times[starts.start + k - 1..starts.end + k - 1];
     // Like the prefix-sum scan: t[i+k−1] − t[i] are independent reads with
     // no loop-carried state.
-    let diffs = times[k - 1..].iter().zip(times).map(|(hi, lo)| hi - lo);
-    Some(if maximize {
+    let diffs = hi.iter().zip(lo).map(|(hi, lo)| hi - lo);
+    let extreme = if maximize {
         diffs.fold(f64::NEG_INFINITY, f64::max)
     } else {
         diffs.fold(f64::INFINITY, f64::min)
-    })
+    };
+    extreme + 0.0
 }
 
 /// Minimal spans for all `k = 1 ..= k_max` (index 0 ↦ `k = 1`), with the

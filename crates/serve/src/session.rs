@@ -17,13 +17,12 @@
 use std::collections::VecDeque;
 
 use wcm_core::{
-    build::arrival_upper_with, sizing, EnvelopeMonitor, LowerWorkloadCurve, UpperWorkloadCurve,
-    WorkloadBounds,
+    build::arrival_upper_from_spans, sizing, EnvelopeMonitor, LowerWorkloadCurve,
+    UpperWorkloadCurve, WorkloadBounds,
 };
 use wcm_curves::arrival::PeriodicJitter;
 use wcm_events::summary::{Sides, SummarySpine};
-use wcm_events::window::WindowMode;
-use wcm_events::{Cycles, ExecutionInterval, TimedEvent, TimedTrace, TypeRegistry};
+use wcm_events::window::SpanWindow;
 use wcm_sim::OverflowPolicy;
 
 use crate::config::ServeConfig;
@@ -69,23 +68,42 @@ pub struct EnqueueOutcome {
     pub full: bool,
 }
 
+/// The timestamp side of a session, allocated when its first timestamp
+/// arrives: a session without timestamps carries one null pointer.
+#[derive(Debug)]
+struct Arrivals {
+    /// Sliding window of *consumed* timestamps for the empirical
+    /// arrival curve (bounded by `cfg.times_window`), with its minimal
+    /// spans kept up to date. Timestamps pair with demands index-wise:
+    /// time `i` belongs to event `i`, and is consumed into this window
+    /// exactly when event `i` is applied — so every refresh sees the
+    /// timestamps of the events applied so far, never a chunk-dependent
+    /// superset.
+    window: SpanWindow,
+    /// Timestamps received but not yet consumed (their events are
+    /// still pending or in flight).
+    staged: VecDeque<f64>,
+    /// Total timestamps consumed into the window.
+    used: u64,
+}
+
+impl Arrivals {
+    /// Move up to `n` staged timestamps into the sliding window.
+    fn consume(&mut self, n: usize) {
+        let n = n.min(self.staged.len());
+        for t in self.staged.drain(..n) {
+            self.window.push(t);
+        }
+        self.used += n as u64;
+    }
+}
+
 /// All state the service keeps for one `(source, name)` stream.
 #[derive(Debug)]
 pub struct SessionState {
     spine: SummarySpine,
     monitor: Option<EnvelopeMonitor>,
-    /// Sliding window of *consumed* timestamps for the empirical
-    /// arrival curve (bounded by `cfg.times_window`). Timestamps pair
-    /// with demands index-wise: time `i` belongs to event `i`, and is
-    /// consumed into this window exactly when event `i` is applied —
-    /// so every refresh sees the timestamps of the events applied so
-    /// far, never a chunk-dependent superset.
-    times: VecDeque<f64>,
-    /// Timestamps received but not yet consumed (their events are
-    /// still pending or in flight).
-    times_in: VecDeque<f64>,
-    /// Total timestamps consumed into the window.
-    times_used: u64,
+    arrivals: Option<Box<Arrivals>>,
     /// Demands decoded but not yet applied (bounded by
     /// `cfg.session_buffer` + one frame under backpressure).
     pending: VecDeque<u64>,
@@ -112,9 +130,7 @@ impl SessionState {
         Self {
             spine: SummarySpine::new(&grid, Sides::Both, cfg.chunk_target),
             monitor: None,
-            times: VecDeque::new(),
-            times_in: VecDeque::new(),
-            times_used: 0,
+            arrivals: None,
             pending: VecDeque::new(),
             events: 0,
             since_refresh: 0,
@@ -180,7 +196,17 @@ impl SessionState {
     /// before (or with) the `DEMANDS` it stamps, so consumption never
     /// has to wait.
     pub fn record_times(&mut self, times: &[f64], cfg: &ServeConfig) {
-        self.times_in.extend(times.iter().copied());
+        if times.is_empty() {
+            return;
+        }
+        let arrivals = self.arrivals.get_or_insert_with(|| {
+            Box::new(Arrivals {
+                window: SpanWindow::new(cfg.times_window.max(2), cfg.k_max.max(1)),
+                staged: VecDeque::new(),
+                used: 0,
+            })
+        });
+        arrivals.staged.extend(times.iter().copied());
         // Degenerate streams (timestamps without demands) must not grow
         // without bound: force-consume the excess. This only fires when
         // the pairing contract is already broken.
@@ -189,22 +215,8 @@ impl SessionState {
             .max(2)
             .saturating_mul(2)
             .saturating_add(cfg.session_buffer);
-        if self.times_in.len() > cap {
-            let over = self.times_in.len() - cap;
-            self.consume_times(over, cfg);
-        }
-    }
-
-    /// Move up to `n` staged timestamps into the sliding window.
-    fn consume_times(&mut self, n: usize, cfg: &ServeConfig) {
-        let window = cfg.times_window.max(2);
-        for _ in 0..n.min(self.times_in.len()) {
-            let t = self.times_in.pop_front().expect("bounded by len");
-            self.times.push_back(t);
-            self.times_used += 1;
-            while self.times.len() > window {
-                self.times.pop_front();
-            }
+        if arrivals.staged.len() > cap {
+            arrivals.consume(arrivals.staged.len() - cap);
         }
     }
 
@@ -228,9 +240,11 @@ impl SessionState {
             self.since_refresh += n as u64;
             // Consume the timestamps of exactly the events applied so
             // far (catching up if earlier times arrived late).
-            let due = usize::try_from(self.events.saturating_sub(self.times_used))
-                .unwrap_or(usize::MAX);
-            self.consume_times(due, cfg);
+            if let Some(arrivals) = self.arrivals.as_mut() {
+                let due = usize::try_from(self.events.saturating_sub(arrivals.used))
+                    .unwrap_or(usize::MAX);
+                arrivals.consume(due);
+            }
             if self.since_refresh >= every {
                 self.refresh(cfg);
                 self.since_refresh = 0;
@@ -274,7 +288,11 @@ impl SessionState {
                 },
             }
         }
-        let verdict = self.decide(&bounds.upper, k_eff, cfg);
+        let verdict = {
+            let _span = wcm_obs::span("serve.admission");
+            wcm_obs::counter("serve.admission.recomputes", 1);
+            self.decide(&bounds.upper, k_eff, cfg)
+        };
         let flipped = matches!(
             (self.admission, verdict),
             (Admission::Admit { .. }, Admission::Reject { .. })
@@ -292,9 +310,10 @@ impl SessionState {
     /// the stream carries enough timestamps, the configured
     /// periodic-with-jitter model otherwise.
     fn decide(&mut self, gamma_u: &UpperWorkloadCurve, k_eff: usize, cfg: &ServeConfig) -> Admission {
-        let alpha = if self.times.len() > k_eff {
-            let times: Vec<f64> = self.times.iter().copied().collect();
-            Self::empirical_alpha(&times, k_eff, cfg)
+        let window = self.arrivals.as_ref().map(|a| &a.window);
+        let alpha = if let Some(w) = window.filter(|w| w.len() > k_eff) {
+            w.min_spans(k_eff)
+                .and_then(|spans| arrival_upper_from_spans(&spans, w.len(), w.duration()).ok())
         } else {
             PeriodicJitter::new(cfg.period_s.max(f64::MIN_POSITIVE), cfg.jitter_s.max(0.0), 0.0)
                 .and_then(|m| m.to_step_upper(cfg.period_s * (k_eff as f64 + 1.0)))
@@ -313,23 +332,6 @@ impl SessionState {
                 f_min_hz: f64::INFINITY,
             },
         }
-    }
-
-    fn empirical_alpha(
-        times: &[f64],
-        k_eff: usize,
-        cfg: &ServeConfig,
-    ) -> Option<wcm_curves::StepCurve> {
-        let mut reg = TypeRegistry::new();
-        let ty = reg
-            .register("event", ExecutionInterval::fixed(Cycles(1)))
-            .ok()?;
-        let trace = TimedTrace::new(
-            reg,
-            times.iter().map(|&time| TimedEvent { time, ty }).collect(),
-        )
-        .ok()?;
-        arrival_upper_with(&trace, k_eff, WindowMode::Exact, cfg.par).ok()
     }
 
     /// Events applied so far.
@@ -360,6 +362,13 @@ impl SessionState {
     #[must_use]
     pub fn flips(&self) -> u64 {
         self.flips
+    }
+
+    /// Refreshes whose curve, monitor or admission construction failed
+    /// (e.g. a decreasing timestamp inside the arrival window).
+    #[must_use]
+    pub fn errors(&self) -> u64 {
+        self.errors
     }
 
     /// Current admission verdict.

@@ -610,10 +610,14 @@ fn simulate_core(
                                 // queued macroblocks and the incoming one;
                                 // ties go to the newest (the incoming one
                                 // is newest of all). Scanning back-to-front
-                                // with a strict `<` picks exactly that.
+                                // with a strict `<` picks exactly that; once
+                                // `best` is 0 (a B frame) nothing can beat it.
                                 let mut victim: Option<usize> = None;
                                 let mut best = frame_priority(w.kinds[i]);
                                 for pos in (0..scratch.fifo.len()).rev() {
+                                    if best == 0 {
+                                        break;
+                                    }
                                     let pq = frame_priority(w.kinds[scratch.fifo[pos]]);
                                     if pq < best {
                                         best = pq;

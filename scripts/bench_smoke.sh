@@ -89,6 +89,13 @@ check "wire.lenient_overhead"         "$(jq .wire.lenient_overhead_vs_strict BEN
 check "sweep.points_per_s_speedup"    "$(jq .sweep.speedup_par_pruned_vs_seq_unpruned BENCH_sweep.json)" ">=" 2.0
 check "sweep.simulator_speedup"       "$(jq .simulator.speedup BENCH_sweep.json)" ">=" 3.0
 
+# Overflow policies: on one moderately overflowing point (150 MHz PE2,
+# a 400-entry FIFO), DropByPriority may cost at most 1.5x Reject per
+# event. The victim scan stops at the first B macroblock from the back
+# (measured 1.0-1.1); scanning the whole FIFO on every overflowing
+# arrival measured 2.5-3.5. Same clip, same process.
+check "sweep.drop_priority_over_reject" "$(jq .overflow_policies.drop_priority_over_reject BENCH_sweep.json)" "<=" 1.5
+
 # Streaming result pipeline: growing the grid 10x (100k -> 1M cells)
 # must leave the streaming path's peak allocator bytes flat — that is
 # the constant-memory contract of run_sweep_streaming. Peak bytes are
@@ -119,5 +126,12 @@ check "obs.recorder_overhead"         "$(jq .enabled.overhead_median_ratio BENCH
 # session over several poll rounds, so it pays more batches per event;
 # a per-frame scan over the open sessions measured about 3.7.
 check "serve.ingest_ratio_20k_vs_5k"  "$(jq .ingest.ratio_20k_vs_5k BENCH_serve.json)" "<=" 1.5
+
+# Serve refresh cost at two window sizes: the per-event apply cost of 16
+# timestamped sessions (a refresh every 64 events) at a 4096-timestamp
+# arrival window must stay within 1.5x of the cost at 1024. The span
+# window's sealed block minima keep it at 1.0-1.2; rescanning the whole
+# window on every refresh measured about 2.7.
+check "serve.refresh_ratio_4096_vs_1024" "$(jq .refresh.ratio_4096_vs_1024 BENCH_serve.json)" "<=" 1.5
 
 echo "perf guard: all checks passed"
